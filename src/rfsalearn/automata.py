@@ -117,11 +117,15 @@ class Automaton:
             if not 0 <= q < self.n_states:
                 raise InputError(f"state id {q!r} out of range")
         for a in w:
-            nxt: set[int] = set()
-            for q in current:
-                nxt |= self.step(q, a)
-            current = frozenset(nxt)
+            current = self._successors(current, a)
         return current
+
+    def _successors(self, states, a: str) -> frozenset[int]:
+        """States reachable from ``states`` by one ``a``-step."""
+        out: set[int] = set()
+        for q in states:
+            out.update(self._step.get((q, a), ()))
+        return frozenset(out)
 
     def accepts(self, w: Word) -> bool:
         return bool(self.run(self.initial, w) & self.final)
@@ -142,13 +146,33 @@ class Automaton:
         return all((q, a) in pairs for q in range(self.n_states) for a in self.alphabet)
 
 
+def is_covered(target, values) -> bool:
+    """True iff ``target`` equals the union of the ``values`` strictly inside it.
+
+    Works on int bit masks and on frozensets alike: ``v | target == target``
+    says ``v`` is inside ``target``.  Values equal to ``target`` are skipped,
+    so ``values`` may contain ``target`` itself.
+    """
+    union = target ^ target  # the empty value of target's type: 0 or frozenset()
+    for v in values:
+        if v != target and v | target == target:
+            union |= v
+    return union == target
+
+
 def reverse_automaton(a: Automaton) -> Automaton:
     """Swap initial and final states and invert every arc."""
     arcs = [(r, sym, q) for q, sym, ts in a.transitions for r in ts]
     return Automaton(a.alphabet, a.n_states, a.final, a.initial, tuple(arcs))
 
 
-def _subset_construction(a: Automaton) -> tuple[Automaton, tuple[frozenset[int], ...]]:
+def determinize(a: Automaton) -> Automaton:
+    """Deterministic, total, language-equivalent automaton (subset construction)."""
+    return determinize_labeled(a)[0]
+
+
+def determinize_labeled(a: Automaton) -> tuple[Automaton, tuple[frozenset[int], ...]]:
+    """Like :func:`determinize` but also returns the source-state subset of each output state."""
     start = frozenset(a.initial)
     labels: list[frozenset[int]] = [start]
     index = {start: 0}
@@ -160,10 +184,7 @@ def _subset_construction(a: Automaton) -> tuple[Automaton, tuple[frozenset[int],
         if p & a.final:
             finals.add(i)
         for sym in a.alphabet:
-            target: set[int] = set()
-            for q in p:
-                target |= a.step(q, sym)
-            t = frozenset(target)
+            t = a._successors(p, sym)
             j = index.get(t)
             if j is None:
                 j = index[t] = len(labels)
@@ -172,16 +193,6 @@ def _subset_construction(a: Automaton) -> tuple[Automaton, tuple[frozenset[int],
         i += 1
     out = Automaton(a.alphabet, len(labels), frozenset({0}), frozenset(finals), tuple(arcs))
     return out, tuple(labels)
-
-
-def determinize(a: Automaton) -> Automaton:
-    """Deterministic, total, language-equivalent automaton (subset construction)."""
-    return _subset_construction(a)[0]
-
-
-def determinize_labeled(a: Automaton) -> tuple[Automaton, tuple[frozenset[int], ...]]:
-    """Like :func:`determinize` but also returns the source-state subset of each output state."""
-    return _subset_construction(a)
 
 
 def minimize(dfa: Automaton) -> Automaton:
@@ -261,8 +272,8 @@ def minimize(dfa: Automaton) -> Automaton:
     return Automaton(dfa.alphabet, len(order), frozenset({0}), out_final, tuple(arcs))
 
 
-def trim(a: Automaton) -> Automaton:
-    """Drop every useless state (unreachable or with no path to a final state)."""
+def useful_states(a: Automaton) -> frozenset[int]:
+    """States on some path from an initial state to a final state."""
     fwd = set(a.initial)
     queue = deque(fwd)
     while queue:
@@ -284,7 +295,12 @@ def trim(a: Automaton) -> Automaton:
             if p not in bwd:
                 bwd.add(p)
                 queue.append(p)
-    useful = sorted(fwd & bwd)
+    return frozenset(fwd & bwd)
+
+
+def trim(a: Automaton) -> Automaton:
+    """Drop every useless state (unreachable or with no path to a final state)."""
+    useful = sorted(useful_states(a))
     remap = {q: i for i, q in enumerate(useful)}
     arcs = [
         (remap[q], sym, remap[r])
@@ -313,12 +329,6 @@ def shortest_difference_witness(a: Automaton, b: Automaton) -> Word | None:
     if a.alphabet != b.alphabet:
         raise InputError("alphabet mismatch")
 
-    def stepped(aut: Automaton, subset: frozenset[int], sym: str) -> frozenset[int]:
-        target: set[int] = set()
-        for q in subset:
-            target |= aut.step(q, sym)
-        return frozenset(target)
-
     pa = frozenset(a.initial)
     pb = frozenset(b.initial)
     seen = {(pa, pb)}
@@ -328,7 +338,7 @@ def shortest_difference_witness(a: Automaton, b: Automaton) -> Word | None:
         if bool(sa & a.final) != bool(sb & b.final):
             return w
         for sym in a.alphabet:
-            pair = (stepped(a, sa, sym), stepped(b, sb, sym))
+            pair = (a._successors(sa, sym), b._successors(sb, sym))
             if pair not in seen:
                 seen.add(pair)
                 queue.append((pair[0], pair[1], w + (sym,)))

@@ -143,11 +143,11 @@ def run_benchmark_record(
     return record, hypothesis
 
 
-def _bench_worker(job: tuple[str, str, str]) -> str:
+def _bench_worker(job: tuple[str, str, str]) -> BenchRecord:
     language_id, path, alg = job
     target = parse_automaton(Path(path).read_text(encoding="utf-8"))
     record, _ = run_benchmark_record(language_id, target, alg)
-    return record.csv_row()
+    return record
 
 
 def cmd_canonical(args) -> int:
@@ -197,17 +197,16 @@ def cmd_bench(args) -> int:
     jobs = [(path.stem, str(path), alg) for path in files for alg in sorted(algs)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_worker, jobs))
+            records = list(pool.map(_bench_worker, jobs))
     else:
-        rows = [_bench_worker(job) for job in jobs]
-    rows.sort(key=lambda row: (row.split(",")[0], row.split(",")[1]))
-    out = BENCH_HEADER + "\n" + "\n".join(rows) + "\n"
+        records = [_bench_worker(job) for job in jobs]
+    records.sort(key=lambda record: (record.language_id, record.alg))
+    out = BENCH_HEADER + "\n" + "\n".join(record.csv_row() for record in records) + "\n"
     if args.out:
         Path(args.out).write_text(out, encoding="utf-8")
     else:
         sys.stdout.write(out)
-    all_correct = all(row.split(",")[9] == "1" for row in rows)
-    return 0 if all_correct else 4
+    return 0 if all(record.correct for record in records) else 4
 
 
 def cmd_table(args) -> int:

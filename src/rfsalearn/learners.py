@@ -18,6 +18,7 @@ from .automata import (
     Automaton,
     Word,
     determinize_labeled,
+    is_covered,
     reverse_automaton,
     reverse_word,
     shortest_difference_witness,
@@ -203,13 +204,8 @@ def two_step_reversal(session) -> LearnerResult:
     det, labels = determinize_labeled(b)
     (det_start,) = det.initial
     words = _shortest_words_from(det, det_start)
-    members = list(labels)
-    for i, subset in enumerate(members):
-        union: set[int] = set()
-        for other in members:
-            if other != subset and other <= subset:
-                union |= other
-        if union != subset:
+    for i, subset in enumerate(labels):
+        if not is_covered(subset, labels):
             table.add_context(reverse_word(words[i]))
     table.fill(rev)
 
@@ -232,8 +228,8 @@ def two_step_prime_contexts(teacher) -> LearnerResult:
     table = first.final_table
 
     row_auto, reps = derive_dfa_with_reps(table)
-    state_of = {table.row(rep): i for i, rep in enumerate(reps)}
-    start_states = [(s, state_of[table.row(s)]) for s in table.red]
+    state_of = {table._mask(rep): i for i, rep in enumerate(reps)}
+    start_states = [(s, state_of[table._mask(s)]) for s in table.red]
     for s, start in start_states:
         reach = _shortest_words_from(row_auto, start)
         for target in sorted(row_auto.final):

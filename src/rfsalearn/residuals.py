@@ -15,6 +15,7 @@ from .automata import (
     ContractError,
     InputError,
     determinize_labeled,
+    is_covered,
     minimize,
     reverse_automaton,
     shortest_difference_witness,
@@ -120,11 +121,7 @@ def is_coverable_state(p, family: StateSetFamily) -> bool:
     p = frozenset(p)
     if p not in set(family.members):
         raise InputError("state set not in family")
-    union: set[int] = set()
-    for member in family.members:
-        if member != p and member <= p:
-            union |= member
-    return union == p
+    return is_covered(p, family.members)
 
 
 def c_of_b(b: Automaton) -> Automaton:

@@ -16,7 +16,23 @@ from .automata import (
     ContractError,
     InputError,
     Word,
+    is_covered,
+    useful_states,
 )
+
+
+def _pack(bits) -> int:
+    """Bit mask with bit ``i`` set iff the ``i``-th of ``bits`` is true."""
+    mask = 0
+    for i, bit in enumerate(bits):
+        if bit:
+            mask |= 1 << i
+    return mask
+
+
+def _column(row_masks: list[int], j: int) -> int:
+    """Column ``j`` as a mask over the rows: bit ``i`` is bit ``j`` of ``row_masks[i]``."""
+    return _pack((m >> j) & 1 for m in row_masks)
 
 
 class ObservationTable:
@@ -27,6 +43,10 @@ class ObservationTable:
     Mutations preserve prefix-closure of RED and the identity
     BLUE = RED·Σ \\ RED; cells created by a mutation stay unset until
     ``fill`` asks the teacher for them.
+
+    Each row is stored as a ``(mask, filled)`` pair: bit ``j`` of the mask is
+    the cell under context ``j``, and the first ``filled`` contexts are set.
+    Contexts only ever append, so a row's unset cells are always a suffix.
     """
 
     def __init__(self, alphabet):
@@ -39,7 +59,7 @@ class ObservationTable:
         self._red_set = {EPSILON}
         self._contexts: list[Word] = [EPSILON]
         self._context_pos = {EPSILON: 0}
-        self._cells: dict[Word, list] = {EPSILON: [None]}
+        self._cells: dict[Word, tuple[int, int]] = {EPSILON: (0, 0)}
         self._blue: list[Word] = []
         self._rebuild_blue()
 
@@ -50,12 +70,6 @@ class ObservationTable:
         ``rows`` maps every word of RED ∪ (RED·Σ \\ RED) to its bit sequence,
         one bit per context.
         """
-        table = cls.__new__(cls)
-        symbols = tuple(sorted(alphabet))
-        if len(set(symbols)) != len(symbols):
-            raise InputError("duplicate alphabet symbol")
-        table._alphabet = symbols
-        table._sym_index = {a: i for i, a in enumerate(symbols)}
         red = [tuple(s) for s in red]
         if len(set(red)) != len(red):
             raise InputError("duplicate red word")
@@ -65,37 +79,33 @@ class ObservationTable:
         contexts = [tuple(e) for e in contexts]
         if len(set(contexts)) != len(contexts):
             raise InputError("duplicate context")
-        table._red = red
-        table._red_set = set(red)
-        table._contexts = contexts
-        table._context_pos = {e: j for j, e in enumerate(contexts)}
-        table._cells = {}
-        table._blue = []
-        table._rebuild_blue()
-        for w in table.words():
+
+        def mask_of(w):
             if w not in rows:
                 raise InputError(f"missing bits for {w!r}")
-            bits = [int(bool(b)) for b in rows[w]]
+            bits = list(rows[w])
             if len(bits) != len(contexts):
                 raise InputError(f"row for {w!r} has wrong width")
-            table._cells[w] = bits
-        return table
+            return _pack(bits)
+
+        return cls._build(alphabet, red, contexts, mask_of)
 
     @classmethod
-    def _assemble(cls, alphabet, red, contexts, cells):
-        """Rebuild a table after surgery; skips the prefix-closure check."""
-        table = cls.__new__(cls)
-        table._alphabet = tuple(alphabet)
-        table._sym_index = {a: i for i, a in enumerate(table._alphabet)}
+    def _build(cls, alphabet, red, contexts, mask_of):
+        """Complete table over ``red`` and ``contexts``; ``mask_of(w)`` gives each row.
+
+        Skips the prefix-closure check, so reductions can drop red words.
+        """
+        table = cls(alphabet)
         table._red = list(red)
-        table._red_set = set(red)
+        table._red_set = set(table._red)
         table._contexts = list(contexts)
         table._context_pos = {e: j for j, e in enumerate(table._contexts)}
         table._cells = {}
-        table._blue = []
         table._rebuild_blue()
+        width = len(table._contexts)
         for w in table.words():
-            table._cells[w] = list(cells[w])
+            table._cells[w] = (mask_of(w), width)
         return table
 
     # ------------------------------------------------------------------ views
@@ -121,31 +131,34 @@ class ObservationTable:
         return tuple(self._red) + tuple(self._blue)
 
     def obs(self, s: Word, e: Word) -> int:
-        row = self._cells.get(tuple(s))
-        if row is None:
+        cell = self._cells.get(tuple(s))
+        if cell is None:
             raise InputError(f"word {s!r} not in table")
         j = self._context_pos.get(tuple(e))
         if j is None:
             raise InputError(f"context {e!r} not in table")
-        bit = row[j]
-        if bit is None:
+        mask, filled = cell
+        if j >= filled:
             raise ContractError(f"cell ({s!r}, {e!r}) not filled")
-        return bit
+        return (mask >> j) & 1
 
     def row(self, s: Word) -> tuple[int, ...]:
-        row = self._cells.get(tuple(s))
-        if row is None:
-            raise InputError(f"word {s!r} not in table")
-        if any(bit is None for bit in row):
-            raise ContractError(f"row {s!r} not fully filled")
-        return tuple(row)
+        mask = self._mask(s)
+        return tuple((mask >> j) & 1 for j in range(len(self._contexts)))
 
     def _mask(self, s: Word) -> int:
-        mask = 0
-        for j, bit in enumerate(self.row(s)):
-            if bit:
-                mask |= 1 << j
+        """Row of ``s`` as a bit mask over the contexts."""
+        cell = self._cells.get(tuple(s))
+        if cell is None:
+            raise InputError(f"word {s!r} not in table")
+        mask, filled = cell
+        if filled < len(self._contexts):
+            raise ContractError(f"row {s!r} not fully filled")
         return mask
+
+    def _least_context(self, bits: int) -> Word:
+        """Context at the lowest set position of ``bits``."""
+        return self._contexts[(bits & -bits).bit_length() - 1]
 
     def _lex_key(self, w: Word):
         return (len(w), tuple(self._sym_index[a] for a in w))
@@ -160,10 +173,9 @@ class ObservationTable:
                 if w not in self._red_set:
                     blue.append(w)
         self._blue = blue
-        width = len(self._contexts)
         for w in blue:
             if w not in self._cells:
-                self._cells[w] = [None] * width
+                self._cells[w] = (0, 0)
 
     def add_red(self, s: Word):
         """Promote ``s`` (a one-symbol extension of a red word) into RED."""
@@ -175,7 +187,7 @@ class ObservationTable:
         self._red.append(s)
         self._red_set.add(s)
         if s not in self._cells:
-            self._cells[s] = [None] * len(self._contexts)
+            self._cells[s] = (0, 0)
         self._rebuild_blue()
         return self
 
@@ -186,47 +198,52 @@ class ObservationTable:
             return self
         self._context_pos[e] = len(self._contexts)
         self._contexts.append(e)
-        for w in self.words():
-            self._cells[w].append(None)
         return self
 
     def fill(self, teacher):
         """Ask the teacher for every unset cell, in stored row/context order."""
+        contexts = self._contexts
+        width = len(contexts)
         for w in self.words():
-            row = self._cells[w]
-            for j, e in enumerate(self._contexts):
-                if row[j] is None:
-                    row[j] = int(bool(teacher.mq(w + e)))
+            mask, filled = self._cells[w]
+            if filled == width:
+                continue
+            for j in range(filled, width):
+                if teacher.mq(w + contexts[j]):
+                    mask |= 1 << j
+            self._cells[w] = (mask, width)
         return self
 
     # ------------------------------------------------------------ predicates
 
     def obviously_different(self, r: Word, s: Word) -> bool:
         """True iff some context tells the two rows apart."""
-        return self.row(r) != self.row(s)
+        return self._mask(r) != self._mask(s)
 
     def is_closed(self) -> Word | None:
         """None when closed, else the least blue word matching no red row."""
-        red_values = {self.row(s) for s in self._red}
-        violators = [s for s in self._blue if self.row(s) not in red_values]
+        red_values = {self._mask(s) for s in self._red}
+        violators = [s for s in self._blue if self._mask(s) not in red_values]
         if not violators:
             return None
         return min(violators, key=self._lex_key)
 
     def is_consistent(self) -> Word | None:
         """None when consistent, else the least context ``a·e`` fixing a violation."""
-        groups: dict[tuple[int, ...], list[Word]] = {}
+        groups: dict[int, list[Word]] = {}
         for s in self._red:
-            groups.setdefault(self.row(s), []).append(s)
+            groups.setdefault(self._mask(s), []).append(s)
         clashes = [g for g in groups.values() if len(g) > 1]
         if not clashes:
             return None
         for a in self._alphabet:
-            for e in self._contexts:
-                for group in clashes:
-                    bits = {self.obs(s + (a,), e) for s in group}
-                    if len(bits) > 1:
-                        return (a,) + e
+            differ = 0
+            for group in clashes:
+                first = self._mask(group[0] + (a,))
+                for s in group[1:]:
+                    differ |= self._mask(s + (a,)) ^ first
+            if differ:
+                return (a,) + self._least_context(differ)
         return None
 
     def row_includes(self, s1: Word, s2: Word) -> bool:
@@ -235,24 +252,11 @@ class ObservationTable:
 
     def is_row_coverable(self, s: Word, candidates) -> bool:
         """True iff row(s) equals the OR of the candidate rows strictly below it."""
-        target = self._mask(s)
-        union = 0
-        for mask in {self._mask(c) for c in candidates}:
-            if mask != target and mask & ~target == 0:
-                union |= mask
-        return union == target
+        return is_covered(self._mask(s), {self._mask(c) for c in candidates})
 
     def _noncoverable_masks(self) -> set[int]:
         values = {self._mask(w) for w in self.words()}
-        keep = set()
-        for v in values:
-            union = 0
-            for u in values:
-                if u != v and u & ~v == 0:
-                    union |= u
-            if union != v:
-                keep.add(v)
-        return keep
+        return {v for v in values if not is_covered(v, values)}
 
     def ncov_red(self) -> tuple[Word, ...]:
         """Least red representative of every non-coverable distinct red row."""
@@ -280,44 +284,31 @@ class ObservationTable:
 
     def is_rfsa_consistent(self) -> Word | None:
         """None when row inclusion survives one-symbol extension, else the least fix ``a·e``."""
-        masks = {s: self._mask(s) for s in self._red}
+        masks = [self._mask(s) for s in self._red]
         pairs = [
-            (s1, s2)
-            for s1 in self._red
-            for s2 in self._red
-            if masks[s1] & ~masks[s2] == 0
+            (i1, i2)
+            for i1, m1 in enumerate(masks)
+            for i2, m2 in enumerate(masks)
+            if m1 & ~m2 == 0
         ]
-        ext = {
-            (s, a): self.row(s + (a,))
-            for s in self._red
-            for a in self._alphabet
-        }
+        ext = {a: [self._mask(s + (a,)) for s in self._red] for a in self._alphabet}
         for a in self._alphabet:
-            for j, e in enumerate(self._contexts):
-                for s1, s2 in pairs:
-                    if ext[s1, a][j] == 1 and ext[s2, a][j] == 0:
-                        return (a,) + e
+            succ = ext[a]
+            broken = 0
+            for i1, i2 in pairs:
+                broken |= succ[i1] & ~succ[i2]
+            if broken:
+                return (a,) + self._least_context(broken)
         return None
-
-    def _column_mask(self, e: Word) -> int:
-        j = self._context_pos[tuple(e)]
-        mask = 0
-        for i, s in enumerate(self._red):
-            if self.row(s)[j]:
-                mask |= 1 << i
-        return mask
 
     def is_column_coverable(self, e: Word) -> bool:
         """True iff the red part of col(e) is the OR of the other columns inside it."""
-        e = tuple(e)
-        if e not in self._context_pos:
+        j = self._context_pos.get(tuple(e))
+        if j is None:
             raise InputError(f"context {e!r} not in table")
-        target = self._column_mask(e)
-        union = 0
-        for mask in {self._column_mask(e2) for e2 in self._contexts if tuple(e2) != e}:
-            if mask != target and mask & ~target == 0:
-                union |= mask
-        return union == target
+        masks = [self._mask(s) for s in self._red]
+        columns = [_column(masks, k) for k in range(len(self._contexts))]
+        return is_covered(columns[j], columns)
 
     # ------------------------------------------------------------------ dump
 
@@ -327,12 +318,16 @@ class ObservationTable:
         def label(w: Word) -> str:
             return "".join(w) if w else "^"
 
+        def cells(w: Word) -> list[str]:
+            mask, filled = self._cells[w]
+            return [str((mask >> j) & 1) if j < filled else "None" for j in range(len(self._contexts))]
+
         lines = ["\t".join([""] + [label(e) for e in self._contexts])]
         for s in self._red:
-            lines.append("\t".join([label(s)] + [str(b) for b in self._cells[s]]))
+            lines.append("\t".join([label(s)] + cells(s)))
         lines.append("--")
         for s in self._blue:
-            lines.append("\t".join([label(s)] + [str(b) for b in self._cells[s]]))
+            lines.append("\t".join([label(s)] + cells(s)))
         return "\n".join(lines) + "\n"
 
 
@@ -359,19 +354,19 @@ def derive_dfa_with_reps(table: ObservationTable) -> tuple[Automaton, tuple[Word
     if EPSILON not in set(table.red):
         raise ContractError("red must contain the empty word")
     reps: list[Word] = []
-    index: dict[tuple[int, ...], int] = {}
+    index: dict[int, int] = {}
     for s in table.red:
-        value = table.row(s)
+        value = table._mask(s)
         if value not in index:
             index[value] = len(reps)
             reps.append(s)
-    eps_at = table.contexts.index(EPSILON)
+    eps_at = table._context_pos[EPSILON]
     arcs = []
     for i, s in enumerate(reps):
         for a in table.alphabet:
-            arcs.append((i, a, index[table.row(s + (a,))]))
-    finals = frozenset(i for i, s in enumerate(reps) if table.row(s)[eps_at])
-    initial = frozenset({index[table.row(EPSILON)]})
+            arcs.append((i, a, index[table._mask(s + (a,))]))
+    finals = frozenset(i for i, s in enumerate(reps) if (table._mask(s) >> eps_at) & 1)
+    initial = frozenset({index[table._mask(EPSILON)]})
     auto = Automaton(table.alphabet, len(reps), initial, finals, tuple(arcs))
     return auto, tuple(reps)
 
@@ -379,6 +374,17 @@ def derive_dfa_with_reps(table: ObservationTable) -> tuple[Automaton, tuple[Word
 def derive_dfa(table: ObservationTable) -> Automaton:
     """Deterministic total automaton with one state per distinct red row."""
     return derive_dfa_with_reps(table)[0]
+
+
+def _restrict(table: ObservationTable, red, positions) -> ObservationTable:
+    """Table over ``red`` and the contexts of ``table`` at ``positions``, in that order."""
+    contexts = table.contexts
+    return ObservationTable._build(
+        table.alphabet,
+        red,
+        [contexts[j] for j in positions],
+        lambda w: _pack((table._mask(w) >> j) & 1 for j in positions),
+    )
 
 
 def apply_modifications(table: ObservationTable) -> ModifiedTable:
@@ -392,51 +398,35 @@ def apply_modifications(table: ObservationTable) -> ModifiedTable:
     """
     _check_derivable(table)
     lex = table._lex_key
+    pos = table._context_pos
 
-    row_reps: dict[tuple[int, ...], Word] = {}
+    row_reps: dict[int, Word] = {}
     for s in table.red:
-        value = table.row(s)
+        value = table._mask(s)
         if value not in row_reps or lex(s) < lex(row_reps[value]):
             row_reps[value] = s
     red1 = sorted(row_reps.values(), key=lex)
+    masks1 = [table._mask(s) for s in red1]
 
-    def column_value(e, reds):
-        return tuple(table.obs(s, e) for s in reds)
-
-    col_reps: dict[tuple[int, ...], Word] = {}
-    for e in table.contexts:
-        value = column_value(e, red1)
+    col_reps: dict[int, Word] = {}
+    for j, e in enumerate(table.contexts):
+        value = _column(masks1, j)
         if value not in col_reps or lex(e) < lex(col_reps[value]):
             col_reps[value] = e
     cols1 = sorted(col_reps.values(), key=lex)
 
-    eps_obs = {s: table.obs(s, EPSILON) for s in red1}
+    eps_at = pos[EPSILON]
+    eps_obs = {s: (m >> eps_at) & 1 for s, m in zip(red1, masks1)}
 
-    red2 = [s for s in red1 if any(table.obs(s, e) for e in cols1)]
-    cols2 = [e for e in cols1 if any(table.obs(s, e) for s in red1)]
+    in_cols1 = sum(1 << pos[e] for e in cols1)
+    red2 = [s for s, m in zip(red1, masks1) if m & in_cols1]
+    cols2 = [e for e in cols1 if _column(masks1, pos[e])]
 
-    def mask(e):
-        m = 0
-        for i, s in enumerate(red2):
-            if table.obs(s, e):
-                m |= 1 << i
-        return m
+    masks2 = [table._mask(s) for s in red2]
+    columns = {e: _column(masks2, pos[e]) for e in cols2}
+    cols3 = [e for e in cols2 if not is_covered(columns[e], columns.values())]
 
-    masks = {e: mask(e) for e in cols2}
-    cols3 = []
-    for e in cols2:
-        target = masks[e]
-        union = 0
-        for m in {masks[e2] for e2 in cols2 if e2 != e}:
-            if m != target and m & ~target == 0:
-                union |= m
-        if union != target:
-            cols3.append(e)
-
-    red_set = set(red2)
-    blue3 = [s + (a,) for s in red2 for a in table.alphabet if s + (a,) not in red_set]
-    cells = {w: [table.obs(w, e) for e in cols3] for w in list(red2) + blue3}
-    reduced = ObservationTable._assemble(table.alphabet, red2, cols3, cells)
+    reduced = _restrict(table, red2, [pos[e] for e in cols3])
     return ModifiedTable(reduced, {s: eps_obs[s] for s in red2})
 
 
@@ -450,11 +440,11 @@ def modified_row_automaton(modified: ModifiedTable) -> Automaton:
     table = modified.table
     reds = list(table.red)
     rep_index = {s: i for i, s in enumerate(reds)}
-    value_index = {table.row(s): i for i, s in enumerate(reds)}
+    value_index = {table._mask(s): i for i, s in enumerate(reds)}
     arcs = []
     for s in reds:
         for a in table.alphabet:
-            target = value_index.get(table.row(s + (a,)))
+            target = value_index.get(table._mask(s + (a,)))
             if target is not None:
                 arcs.append((rep_index[s], a, target))
     initial = {rep_index[EPSILON]} if EPSILON in rep_index else set()
@@ -475,38 +465,17 @@ def derive_reversal_rfsa(modified: ModifiedTable) -> Automaton:
     table = modified.table
     eps_obs = modified.eps_obs
     reds = list(table.red)
-    rep_index = {s: i for i, s in enumerate(reds)}
     inner = modified_row_automaton(modified)
 
-    # usefulness of row states (reachable and co-reachable in the row automaton)
-    fwd = set(inner.initial)
-    stack = list(fwd)
-    while stack:
-        q = stack.pop()
-        for a in inner.alphabet:
-            for r in inner.step(q, a):
-                if r not in fwd:
-                    fwd.add(r)
-                    stack.append(r)
+    useful = useful_states(inner)
     preds: dict[tuple[int, str], set[int]] = {}
     for q, a, ts in inner.transitions:
         for r in ts:
             preds.setdefault((r, a), set()).add(q)
-    bwd = set(inner.final)
-    stack = list(bwd)
-    while stack:
-        q = stack.pop()
-        for a in inner.alphabet:
-            for p in preds.get((q, a), ()):
-                if p not in bwd:
-                    bwd.add(p)
-                    stack.append(p)
-    useful = fwd & bwd
-
-    column_sets = []
-    for e in table.contexts:
-        members = frozenset(rep_index[s] for s in reds if table.obs(s, e))
-        column_sets.append(members)
+    masks = [table._mask(s) for s in reds]
+    column_sets = [
+        frozenset(i for i, m in enumerate(masks) if (m >> j) & 1) for j in range(len(table.contexts))
+    ]
 
     arcs = []
     for i, q1 in enumerate(column_sets):
@@ -521,7 +490,7 @@ def derive_reversal_rfsa(modified: ModifiedTable) -> Automaton:
     initial = frozenset(
         i for i, members in enumerate(column_sets) if all(eps_obs[reds[q]] for q in members)
     )
-    eps_row = rep_index.get(EPSILON)
+    eps_row = reds.index(EPSILON) if EPSILON in reds else None
     final = frozenset(i for i, members in enumerate(column_sets) if eps_row in members)
     return Automaton(table.alphabet, len(column_sets), initial, final, tuple(arcs))
 
@@ -541,10 +510,10 @@ def derive_rfsa(table: ObservationTable) -> Automaton:
     if EPSILON not in set(table.red):
         raise ContractError("red must contain the empty word")
     masks = [table._mask(s) for s in reps]
-    eps_at = table.contexts.index(EPSILON)
+    eps_at = table._context_pos[EPSILON]
     root = table._mask(EPSILON)
     initial = frozenset(i for i, m in enumerate(masks) if m & ~root == 0)
-    final = frozenset(i for i, s in enumerate(reps) if table.row(s)[eps_at])
+    final = frozenset(i for i, m in enumerate(masks) if (m >> eps_at) & 1)
     arcs = []
     for i, s in enumerate(reps):
         for a in table.alphabet:
@@ -557,9 +526,8 @@ def derive_rfsa(table: ObservationTable) -> Automaton:
 
 def drop_zero_rows_and_columns(table: ObservationTable) -> ObservationTable:
     """Remove red words with all-zero rows and contexts with all-zero columns."""
-    red = [s for s in table.red if any(table.row(s))]
-    contexts = [e for e in table.contexts if any(table.obs(w, e) for w in table.words())]
-    red_set = set(red)
-    blue = [s + (a,) for s in red for a in table.alphabet if s + (a,) not in red_set]
-    cells = {w: [table.obs(w, e) for e in contexts] for w in red + blue}
-    return ObservationTable._assemble(table.alphabet, red, contexts, cells)
+    red = [s for s in table.red if table._mask(s)]
+    used = 0
+    for w in table.words():
+        used |= table._mask(w)
+    return _restrict(table, red, [j for j in range(len(table.contexts)) if (used >> j) & 1])

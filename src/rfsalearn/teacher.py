@@ -40,6 +40,7 @@ class TeacherSession:
         self.target = target
         self.stats = QueryStats()
         self._cache: dict[Word, int] = {}
+        self._symbols = frozenset(target.alphabet)
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -55,10 +56,6 @@ class TeacherSession:
             self.stats.mq_distinct += 1
             self._cache[w] = int(self.target.accepts(w))
         return self._cache[w]
-
-    @property
-    def _symbols(self):
-        return set(self.target.alphabet)
 
     def eq(self, hypothesis: Automaton) -> Word | None:
         """None when the hypothesis matches the target, else the least counterexample."""

@@ -135,6 +135,14 @@ def test_c07_distinguishing_context_count(corpus_runs):
     report(7, "minimal distinguishing contexts equal the prime count", failures, f"{checked} languages with index <= 4")
 
 
+def test_distinguishing_context_count_at_most_primes(corpus_runs):
+    runs, _ = corpus_runs
+    small = [run for run in runs if run.index <= 4]
+    assert len(small) == 26
+    for run in small:
+        assert min_distinguishing_context_count(run.target) <= run.canonical.n_states, run.language_id
+
+
 def test_c08_coverable_column_example():
     rows = [
         [1, 0, 1, 1, 0],

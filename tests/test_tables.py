@@ -264,6 +264,39 @@ def test_mutations_keep_structure():
             assert t.obs(s, e) == int(lang.accepts(s + e))
 
 
+def test_unset_cells_after_add_context_raise_until_filled():
+    lang = ends_a()
+    t = ObservationTable(lang.alphabet)
+    t.fill(TeacherSession(lang))
+    before = {s: t.row(s) for s in t.words()}
+    t.add_context(word("b"))
+    for s in t.words():
+        with pytest.raises(ContractError):
+            t.obs(s, word("b"))
+        with pytest.raises(ContractError):
+            t.row(s)
+        assert t.obs(s, ()) == before[s][0]
+    assert t.dump() == "\t^\tb\n^\t0\tNone\n--\na\t1\tNone\nb\t0\tNone\n"
+
+
+def test_unset_cells_after_add_red_raise_until_filled():
+    lang = ends_a()
+    t = ObservationTable(lang.alphabet)
+    t.fill(TeacherSession(lang))
+    before = {s: t.row(s) for s in t.words()}
+    t.add_red(word("a"))
+    fresh = [s for s in t.words() if s not in before]
+    assert fresh == [word("aa"), word("ab")]
+    for s in fresh:
+        with pytest.raises(ContractError):
+            t.obs(s, ())
+        with pytest.raises(ContractError):
+            t.row(s)
+    for s, bits in before.items():
+        assert t.row(s) == bits
+        assert t.obs(s, ()) == bits[0]
+
+
 def test_add_red_requires_prefix():
     t = ObservationTable(AB)
     with pytest.raises(ContractError):
