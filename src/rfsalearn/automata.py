@@ -7,6 +7,7 @@ fresh automaton, so they are safe to share between threads or processes.
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -343,6 +344,115 @@ def shortest_difference_witness(a: Automaton, b: Automaton) -> Word | None:
                 seen.add(pair)
                 queue.append((pair[0], pair[1], w + (sym,)))
     return None
+
+
+class _ResidualOrder:
+    """Residual inclusion between the states of a total DFA, with least witnesses.
+
+    ``dist[p][q]`` is the length of the shortest word in L_p \\ L_q, or -1 when
+    L_p ⊆ L_q.  It comes from one backward breadth-first search over the pair
+    graph seeded at the (final, non-final) pairs, so all pairs together cost
+    O(n²·|Σ|), and it is computed on first use only.
+    """
+
+    def __init__(self, dfa: Automaton):
+        self.alphabet = alphabet = dfa.alphabet
+        self.n = n = dfa.n_states
+        k = len(alphabet)
+        # Transitions are sorted by state, then symbol, one entry per pair with
+        # a successor: the machine is total and deterministic iff there are
+        # n·k entries holding n·k targets.
+        flat = [t for _, _, targets in dfa.transitions for t in targets]
+        if not len(dfa.transitions) == len(flat) == n * k:
+            q, a = next((q, a) for q in range(n) for a in alphabet if len(dfa.step(q, a)) != 1)
+            raise ContractError(
+                f"residual order needs a total deterministic automaton: "
+                f"state {q} has {len(dfa.step(q, a))} successors on {a!r}"
+            )
+        # delta[i][q]: the successor of q on the i-th symbol
+        self.delta = [flat[i::k] for i in range(k)]
+        self.final_mask = sum(1 << q for q in dfa.final)
+
+    @functools.cached_property
+    def dist(self) -> list[list[int]]:
+        n, final = self.n, self.final_mask
+        preimages = []
+        for row in self.delta:
+            pre: list[list[int]] = [[] for _ in range(n)]
+            for q, t in enumerate(row):
+                pre[t].append(q)
+            preimages.append(pre)
+        dist = [[-1] * n for _ in range(n)]
+        frontier = []
+        for p in range(n):
+            if final >> p & 1:
+                for q in range(n):
+                    if not final >> q & 1:
+                        dist[p][q] = 0
+                        frontier.append((p, q))
+        d = 0
+        while frontier:
+            d += 1
+            reached = []
+            for p, q in frontier:
+                for pre in preimages:
+                    sources = pre[q]
+                    for p2 in pre[p]:
+                        row = dist[p2]
+                        for q2 in sources:
+                            if row[q2] < 0:
+                                row[q2] = d
+                                reached.append((p2, q2))
+            frontier = reached
+        return dist
+
+    def witness(self, p: int, q: int) -> Word | None:
+        """Length-lexicographically least word in L_p \\ L_q, if any.
+
+        Every shortest witness steps to a pair one closer to the seeds, so
+        taking the least symbol that does so at each step gives the least one.
+        """
+        dist = self.dist
+        d = dist[p][q]
+        if d < 0:
+            return None
+        out = []
+        while d > 0:
+            d -= 1
+            for a, row in zip(self.alphabet, self.delta):
+                if dist[row[p]][row[q]] == d:
+                    out.append(a)
+                    p, q = row[p], row[q]
+                    break
+        return tuple(out)
+
+    def excess_witness(self, q: int, includes) -> Word | None:
+        """Least word of L_q outside the union of the L_p strictly below q, if any.
+
+        ``includes[p][q]`` says L_p ⊆ L_q.  Breadth-first over pairs of a state
+        and the bit mask of the states the union has reached by the same word;
+        a pair whose state lies in its mask is dropped, since from there every
+        word the state accepts the mask accepts too.
+        """
+        below = sum(1 << p for p in range(self.n) if p != q and includes[p][q])
+        final, steps = self.final_mask, tuple(zip(self.alphabet, self.delta))
+        seen = {(q, below)}
+        queue: deque[tuple[int, int, Word]] = deque([(q, below, EPSILON)])
+        while queue:
+            s, mask, w = queue.popleft()
+            if final >> s & 1 and not mask & final:
+                return w
+            for a, row in steps:
+                t, stepped, rest = row[s], 0, mask
+                while rest:
+                    low = rest & -rest
+                    stepped |= 1 << row[low.bit_length() - 1]
+                    rest ^= low
+                if stepped >> t & 1 or (t, stepped) in seen:
+                    continue
+                seen.add((t, stepped))
+                queue.append((t, stepped, w + (a,)))
+        return None
 
 
 def _joint_colors(a: Automaton, b: Automaton) -> tuple[list[int], list[int]]:

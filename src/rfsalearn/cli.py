@@ -5,6 +5,7 @@ Exit codes: 0 ok, 2 usage or parse error, 3 I/O error, 4 algorithm diagnostic.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import string
 import sys
@@ -150,6 +151,14 @@ def _bench_worker(job: tuple[str, str, str]) -> BenchRecord:
     return record
 
 
+def _usable_cpu_count() -> int:
+    """CPUs this process may run on (its affinity set where the platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def cmd_canonical(args) -> int:
     text = Path(args.path).read_text(encoding="utf-8")
     target = parse_automaton(text)
@@ -189,14 +198,18 @@ def cmd_bench(args) -> int:
         if alg not in ALGORITHMS:
             print(f"unknown algorithm {alg!r}", file=sys.stderr)
             return 2
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
+    workers = min(args.jobs, _usable_cpu_count())
     corpus_dir = Path(args.corpus)
     files = sorted(corpus_dir.glob("*.aut"))
     if not files:
         print(f"no .aut files in {corpus_dir}", file=sys.stderr)
         return 3
     jobs = [(path.stem, str(path), alg) for path in files for alg in sorted(algs)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_bench_worker, jobs))
     else:
         records = [_bench_worker(job) for job in jobs]

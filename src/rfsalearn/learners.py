@@ -10,18 +10,17 @@ queries.
 """
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass
 
 from .automata import (
     Automaton,
     Word,
+    _ResidualOrder,
     determinize_labeled,
     is_covered,
     reverse_automaton,
     reverse_word,
-    shortest_difference_witness,
     trim,
 )
 from .tables import (
@@ -138,23 +137,6 @@ def _shortest_words_from(auto: Automaton, start: int) -> dict[int, Word]:
     return words
 
 
-def _separating_word(auto: Automaton, p: int, q: int) -> Word | None:
-    """Least word accepted from ``p`` but not from ``q`` on a total DFA, if any."""
-    seen = {(p, q)}
-    queue: deque[tuple[int, int, Word]] = deque([(p, q, ())])
-    while queue:
-        sp, sq, w = queue.popleft()
-        if sp in auto.final and sq not in auto.final:
-            return w
-        for a in auto.alphabet:
-            (tp,) = auto.step(sp, a)
-            (tq,) = auto.step(sq, a)
-            if (tp, tq) not in seen:
-                seen.add((tp, tq))
-                queue.append((tp, tq, w + (a,)))
-    return None
-
-
 def _residual_order_contexts(auto: Automaton) -> list[Word]:
     """Contexts that make table rows mirror the residual structure of ``auto``.
 
@@ -165,22 +147,12 @@ def _residual_order_contexts(auto: Automaton) -> list[Word]:
     residual inclusion and row coverability with residual composedness, which
     is what reading an RFSA off the finished table requires.
     """
+    order = _ResidualOrder(auto)
+    includes = [[d < 0 for d in row] for row in order.dist]
     n = auto.n_states
-    contexts: list[Word] = []
-    included: dict[tuple[int, int], bool] = {}
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            witness = _separating_word(auto, p, q)
-            included[p, q] = witness is None
-            if witness is not None:
-                contexts.append(witness)
+    contexts = [order.witness(p, q) for p in range(n) for q in range(n) if not includes[p][q]]
     for q in range(n):
-        below = frozenset(p for p in range(n) if p != q and included[p, q])
-        union_nfa = dataclasses.replace(auto, initial=below)
-        single = dataclasses.replace(auto, initial=frozenset({q}))
-        witness = shortest_difference_witness(single, union_nfa)
+        witness = order.excess_witness(q, includes)
         if witness is not None:
             contexts.append(witness)
     return contexts

@@ -1,12 +1,16 @@
 """Residual languages of a regular language and the canonical RFSA built from them.
 
-Everything here works on exact language comparisons (product reachability on
-determinized machines), never on bounded word enumeration, so the results
-serve as independent oracles for the learners.
+Everything here works on exact language comparisons, never on bounded word
+enumeration.  Residual inclusion and primality come from the residual-order
+kernel in ``automata``: one backward search over the state pairs of the
+minimal DFA gives every inclusion, and primality is a search over a state
+paired with the set of states below it.  ``prime2step`` uses the same kernel,
+so the canonical RFSA is not independent of that learner; ``c_of_b`` (subset
+construction on the reversal) and the final language check stay independent
+of it.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -14,6 +18,7 @@ from .automata import (
     Automaton,
     ContractError,
     InputError,
+    _ResidualOrder,
     determinize_labeled,
     is_covered,
     minimize,
@@ -40,28 +45,10 @@ def _require_minimal(l_dfa: Automaton):
 
 
 def residual_index(l_dfa: Automaton) -> ResidualIndex:
-    """Inclusion matrix of the residuals, via product reachability."""
+    """Inclusion matrix of the residuals, from one pass over the state pairs."""
     _require_minimal(l_dfa)
-    n = l_dfa.n_states
-
-    def included(q1: int, q2: int) -> bool:
-        # L_q1 ⊆ L_q2 iff no reachable pair is (final, non-final)
-        seen = {(q1, q2)}
-        stack = [(q1, q2)]
-        while stack:
-            p1, p2 = stack.pop()
-            if p1 in l_dfa.final and p2 not in l_dfa.final:
-                return False
-            for a in l_dfa.alphabet:
-                (t1,) = l_dfa.step(p1, a)
-                (t2,) = l_dfa.step(p2, a)
-                if (t1, t2) not in seen:
-                    seen.add((t1, t2))
-                    stack.append((t1, t2))
-        return True
-
-    matrix = tuple(tuple(included(q1, q2) for q2 in range(n)) for q1 in range(n))
-    return ResidualIndex(l_dfa, matrix)
+    dist = _ResidualOrder(l_dfa).dist
+    return ResidualIndex(l_dfa, tuple(tuple(d < 0 for d in row) for row in dist))
 
 
 def is_prime(index: ResidualIndex, q: int) -> bool:
@@ -69,12 +56,7 @@ def is_prime(index: ResidualIndex, q: int) -> bool:
     base = index.base
     if not 0 <= q < base.n_states:
         raise InputError(f"state id {q!r} out of range")
-    strictly_below = frozenset(
-        p for p in range(base.n_states) if p != q and index.includes[p][q]
-    )
-    union_nfa = dataclasses.replace(base, initial=strictly_below)
-    single = dataclasses.replace(base, initial=frozenset({q}))
-    return shortest_difference_witness(union_nfa, single) is not None
+    return _ResidualOrder(base).excess_witness(q, index.includes) is not None
 
 
 def canonical_rfsa(l_dfa: Automaton) -> Automaton:

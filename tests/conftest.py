@@ -2,6 +2,7 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from rfsalearn.automata import Automaton, shortest_difference_witness
 from rfsalearn.cli import generate_corpus
@@ -14,6 +15,11 @@ from rfsalearn.learners import (
 )
 from rfsalearn.residuals import canonical_rfsa
 from rfsalearn.teacher import TeacherSession
+
+# Property tests draw the same examples on every run, so a failure reproduces
+# and tier-1 results do not depend on the run.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 CORPUS_N = 200
 CORPUS_MAX_STATES = 8

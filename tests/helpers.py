@@ -1,5 +1,9 @@
-"""Shared fixtures: small reference automata and table builders."""
-from rfsalearn.automata import Automaton, word
+"""Shared fixtures: small reference automata, table builders, and a per-pair
+residual-order reference that the single-pass kernel is checked against."""
+import dataclasses
+from collections import deque
+
+from rfsalearn.automata import Automaton, shortest_difference_witness, word
 from rfsalearn.tables import ObservationTable
 
 AB = ("a", "b")
@@ -52,6 +56,13 @@ def third_from_end_a():
     return Automaton(AB, 8, {index[("b", "b", "b")]}, final, arcs)
 
 
+def nth_from_end_nfa(n):
+    """(n+1)-state NFA for "the n-th symbol from the end is a"."""
+    arcs = [(0, "a", 0), (0, "b", 0), (0, "a", 1)]
+    arcs += [(i, s, i + 1) for i in range(1, n) for s in AB]
+    return Automaton(AB, n + 1, {0}, {n}, arcs)
+
+
 def table_for(lang: Automaton, red, contexts) -> ObservationTable:
     """Observation table filled from a known language, no teacher involved."""
     red = [word(s) if isinstance(s, str) else tuple(s) for s in red]
@@ -74,3 +85,74 @@ def table_from_bits(red, contexts, red_bits, blue_bits=None, alphabet=AB):
     for s in blue:
         rows[s] = blue_bits.get(s, [0] * len(contexts))
     return ObservationTable.from_rows(alphabet, red, contexts, rows)
+
+
+# ------------------------------------------- per-pair residual-order reference
+#
+# One search per state pair or state, on total DFAs, written independently of
+# ``automata._ResidualOrder``: inclusion by depth-first product reachability,
+# witnesses by breadth-first product search, composedness by the subset-product
+# walk of ``shortest_difference_witness``.
+
+
+def reference_included(dfa, q1, q2):
+    """L_q1 ⊆ L_q2 iff no reachable pair is (final, non-final)."""
+    seen = {(q1, q2)}
+    stack = [(q1, q2)]
+    while stack:
+        p1, p2 = stack.pop()
+        if p1 in dfa.final and p2 not in dfa.final:
+            return False
+        for a in dfa.alphabet:
+            (t1,) = dfa.step(p1, a)
+            (t2,) = dfa.step(p2, a)
+            if (t1, t2) not in seen:
+                seen.add((t1, t2))
+                stack.append((t1, t2))
+    return True
+
+
+def reference_includes(dfa):
+    n = dfa.n_states
+    return tuple(tuple(reference_included(dfa, p, q) for q in range(n)) for p in range(n))
+
+
+def reference_separating_word(dfa, p, q):
+    """Least word accepted from ``p`` but not from ``q``, if any."""
+    seen = {(p, q)}
+    queue = deque([(p, q, ())])
+    while queue:
+        sp, sq, w = queue.popleft()
+        if sp in dfa.final and sq not in dfa.final:
+            return w
+        for a in dfa.alphabet:
+            (tp,) = dfa.step(sp, a)
+            (tq,) = dfa.step(sq, a)
+            if (tp, tq) not in seen:
+                seen.add((tp, tq))
+                queue.append((tp, tq, w + (a,)))
+    return None
+
+
+def reference_excess_witness(dfa, includes, q):
+    """Least word of L_q outside the union of the residuals strictly below it."""
+    below = frozenset(p for p in range(dfa.n_states) if p != q and includes[p][q])
+    union_nfa = dataclasses.replace(dfa, initial=below)
+    single = dataclasses.replace(dfa, initial=frozenset({q}))
+    return shortest_difference_witness(single, union_nfa)
+
+
+def reference_residual_order_contexts(dfa):
+    n = dfa.n_states
+    contexts = [
+        w
+        for p in range(n)
+        for q in range(n)
+        if p != q and (w := reference_separating_word(dfa, p, q)) is not None
+    ]
+    includes = reference_includes(dfa)
+    for q in range(n):
+        w = reference_excess_witness(dfa, includes, q)
+        if w is not None:
+            contexts.append(w)
+    return contexts

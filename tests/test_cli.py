@@ -1,4 +1,7 @@
+import pytest
+
 from helpers import even_a, starts_a
+from rfsalearn import cli
 from rfsalearn.automata import format_automaton, parse_automaton
 from rfsalearn.cli import BENCH_HEADER, generate_corpus, lang_file_name, main
 
@@ -176,3 +179,30 @@ def test_bench_parallel_matches_sequential(tmp_path):
     main(["bench", str(corpus), "--out", str(par), "--algs", "lstar,rev2step", "--jobs", "2"])
     strip = lambda p: [r.rsplit(",", 1)[0] for r in p.read_text().strip().splitlines()]
     assert strip(seq) == strip(par)
+
+
+def test_bench_rejects_jobs_below_one(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    main(["gen-corpus", str(corpus), "--n", "1", "--max-states", "3"])
+    for jobs in ("0", "-3"):
+        assert main(["bench", str(corpus), "--algs", "lstar", "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("has_affinity", [True, False])
+def test_bench_jobs_capped_at_usable_cpus(tmp_path, monkeypatch, has_affinity):
+    corpus = tmp_path / "corpus"
+    main(["gen-corpus", str(corpus), "--n", "2", "--max-states", "3"])
+    if has_affinity:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one usable CPU must not build a process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "report.csv"
+    assert main(["bench", str(corpus), "--algs", "lstar", "--jobs", "2", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 3
