@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
 EPSILON: Word = ()
+_EMPTY: frozenset[int] = frozenset()
 
 
 def word(text: str) -> Word:
@@ -123,18 +124,23 @@ class Automaton:
 
     def _successors(self, states, a: str) -> frozenset[int]:
         """States reachable from ``states`` by one ``a``-step."""
+        if len(states) == 1:  # a DFA's run: the stored target set is the answer
+            (q,) = states
+            return self._step.get((q, a), _EMPTY)
         out: set[int] = set()
         for q in states:
             out.update(self._step.get((q, a), ()))
         return frozenset(out)
+
+    def _arcs(self, q: int) -> list[tuple[str, int]]:
+        """``(symbol, target)`` pairs leaving ``q``, in alphabet order."""
+        return [(a, r) for a in self.alphabet for r in self._step.get((q, a), ())]
 
     def accepts(self, w: Word) -> bool:
         return bool(self.run(self.initial, w) & self.final)
 
     def accepts_from(self, q: int, w: Word) -> bool:
         """Membership of ``w`` in the language accepted when starting at ``q``."""
-        if not 0 <= q < self.n_states:
-            raise InputError(f"state id {q!r} out of range")
         return bool(self.run((q,), w) & self.final)
 
     @property
@@ -159,6 +165,29 @@ def is_covered(target, values) -> bool:
         if v != target and v | target == target:
             union |= v
     return union == target
+
+
+def least_words(starts, successors):
+    """Breadth-first search yielding each reachable node with its least word.
+
+    Every start node has the empty word; ``successors(node)`` lists
+    ``(symbol, node)`` pairs in alphabet order.  Nodes come out breadth-first
+    and each is expanded only after it is yielded, so a caller that stops at
+    the first hit expands nothing past it.  The words are
+    length-lexicographically least when no two nodes can share a word (one
+    start node, at most one successor per symbol), as in every deterministic
+    search here; otherwise they are still shortest.
+    """
+    words = dict.fromkeys(starts, EPSILON)
+    queue = deque(words)
+    while queue:
+        node = queue.popleft()
+        w = words[node]
+        yield node, w
+        for a, nxt in successors(node):
+            if nxt not in words:
+                words[nxt] = w + (a,)
+                queue.append(nxt)
 
 
 def reverse_automaton(a: Automaton) -> Automaton:
@@ -206,97 +235,46 @@ def minimize(dfa: Automaton) -> Automaton:
     if not dfa.is_deterministic:
         raise ContractError("minimize requires a deterministic automaton")
     (q0,) = dfa.initial
-
-    reachable = [q0]
-    seen = {q0}
-    pos = 0
-    while pos < len(reachable):
-        q = reachable[pos]
-        pos += 1
-        for a in dfa.alphabet:
-            for r in dfa.step(q, a):
-                if r not in seen:
-                    seen.add(r)
-                    reachable.append(r)
-
-    dense = {q: i for i, q in enumerate(reachable)}
-    n = len(reachable)
-    delta: dict[tuple[int, str], int] = {}
-    need_sink = False
-    for q in reachable:
-        for a in dfa.alphabet:
-            ts = dfa.step(q, a)
-            if ts:
-                (r,) = ts
-                delta[dense[q], a] = dense[r]
-            else:
-                need_sink = True
-    if need_sink:
-        sink = n
+    symbols = dfa.alphabet
+    n = sink = dfa.n_states
+    # succ[q][i]: the successor of q on the i-th symbol; missing arcs go to a sink
+    succ = [[min(dfa.step(q, a), default=sink) for a in symbols] for q in range(n)]
+    if any(sink in row for row in succ):
+        succ.append([sink] * len(symbols))
         n += 1
-        for q in range(n):
-            for a in dfa.alphabet:
-                delta.setdefault((q, a), sink)
-    finals = {dense[q] for q in dfa.final if q in dense}
 
-    cls = [1 if q in finals else 0 for q in range(n)]
+    cls = [1 if q in dfa.final else 0 for q in range(n)]
+    count = len(set(cls))
     while True:
-        sig = {}
-        new = [0] * n
-        for q in range(n):
-            key = (cls[q], tuple(cls[delta[q, a]] for a in dfa.alphabet))
-            if key not in sig:
-                sig[key] = len(sig)
-            new[q] = sig[key]
-        if len(sig) == len(set(cls)):
+        sig: dict[tuple[int, ...], int] = {}
+        new = [sig.setdefault((c, *[cls[t] for t in row]), len(sig)) for c, row in zip(cls, succ)]
+        if len(sig) == count:
             break
-        cls = new
+        cls, count = new, len(sig)
 
-    # breadth-first renumbering of the classes
-    start_cls = cls[0]  # dense id 0 is the original start state
-    number = {start_cls: 0}
-    order = [start_cls]
-    rep = {}
-    for q in range(n):
-        rep.setdefault(cls[q], q)
-    pos = 0
-    while pos < len(order):
-        c = order[pos]
-        pos += 1
-        for a in dfa.alphabet:
-            t = cls[delta[rep[c], a]]
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-    arcs = [(number[c], a, number[cls[delta[rep[c], a]]]) for c in order for a in dfa.alphabet]
-    out_final = frozenset(number[cls[q]] for q in finals)
-    return Automaton(dfa.alphabet, len(order), frozenset({0}), out_final, tuple(arcs))
+    # Only the classes reached from the start's class are numbered, in
+    # breadth-first order; any member stands for its class.
+    rep = dict(zip(cls, range(n)))
+    number = {}
+    for c, _ in least_words((cls[q0],), lambda c: zip(symbols, [cls[t] for t in succ[rep[c]]])):
+        number[c] = len(number)
+    arcs = [(number[c], a, number[cls[t]]) for c in number for a, t in zip(symbols, succ[rep[c]])]
+    out_final = frozenset(number[c] for c in number if rep[c] in dfa.final)
+    return Automaton(symbols, len(number), frozenset({0}), out_final, tuple(arcs))
 
 
 def useful_states(a: Automaton) -> frozenset[int]:
-    """States on some path from an initial state to a final state."""
-    fwd = set(a.initial)
-    queue = deque(fwd)
-    while queue:
-        q = queue.popleft()
-        for sym in a.alphabet:
-            for r in a.step(q, sym):
-                if r not in fwd:
-                    fwd.add(r)
-                    queue.append(r)
-    preds: dict[int, set[int]] = {}
-    for q, _, ts in a.transitions:
+    """States on some path from an initial state to a final state.
+
+    One search forward from the initial states and one backward from the
+    finals over a predecessor list; only the states they reach are used.
+    """
+    preds: dict[int, list[tuple[str, int]]] = {}
+    for q, sym, ts in a.transitions:
         for r in ts:
-            preds.setdefault(r, set()).add(q)
-    bwd = set(a.final)
-    queue = deque(bwd)
-    while queue:
-        q = queue.popleft()
-        for p in preds.get(q, ()):
-            if p not in bwd:
-                bwd.add(p)
-                queue.append(p)
-    return frozenset(fwd & bwd)
+            preds.setdefault(r, []).append((sym, q))
+    fwd = {q for q, _ in least_words(a.initial, a._arcs)}
+    return frozenset(q for q, _ in least_words(a.final, lambda q: preds.get(q, ())) if q in fwd)
 
 
 def trim(a: Automaton) -> Automaton:
@@ -330,19 +308,17 @@ def shortest_difference_witness(a: Automaton, b: Automaton) -> Word | None:
     if a.alphabet != b.alphabet:
         raise InputError("alphabet mismatch")
 
-    pa = frozenset(a.initial)
-    pb = frozenset(b.initial)
-    seen = {(pa, pb)}
-    queue: deque[tuple[frozenset[int], frozenset[int], Word]] = deque([(pa, pb, EPSILON)])
-    while queue:
-        sa, sb, w = queue.popleft()
-        if bool(sa & a.final) != bool(sb & b.final):
+    alphabet, final_a, final_b = a.alphabet, a.final, b.final
+    step_a, step_b = a._successors, b._successors
+
+    def successors(pair):
+        sa, sb = pair
+        return [(sym, (step_a(sa, sym), step_b(sb, sym))) for sym in alphabet]
+
+    start = (frozenset(a.initial), frozenset(b.initial))
+    for (sa, sb), w in least_words((start,), successors):
+        if bool(sa & final_a) != bool(sb & final_b):
             return w
-        for sym in a.alphabet:
-            pair = (a._successors(sa, sym), b._successors(sb, sym))
-            if pair not in seen:
-                seen.add(pair)
-                queue.append((pair[0], pair[1], w + (sym,)))
     return None
 
 
@@ -436,22 +412,21 @@ class _ResidualOrder:
         """
         below = sum(1 << p for p in range(self.n) if p != q and includes[p][q])
         final, steps = self.final_mask, tuple(zip(self.alphabet, self.delta))
-        seen = {(q, below)}
-        queue: deque[tuple[int, int, Word]] = deque([(q, below, EPSILON)])
-        while queue:
-            s, mask, w = queue.popleft()
-            if final >> s & 1 and not mask & final:
-                return w
+
+        def successors(node):
+            s, mask = node
             for a, row in steps:
                 t, stepped, rest = row[s], 0, mask
                 while rest:
                     low = rest & -rest
                     stepped |= 1 << row[low.bit_length() - 1]
                     rest ^= low
-                if stepped >> t & 1 or (t, stepped) in seen:
-                    continue
-                seen.add((t, stepped))
-                queue.append((t, stepped, w + (a,)))
+                if not stepped >> t & 1:
+                    yield a, (t, stepped)
+
+        for (s, mask), w in least_words(((q, below),), successors):
+            if final >> s & 1 and not mask & final:
+                return w
         return None
 
 

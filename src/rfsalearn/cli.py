@@ -85,8 +85,11 @@ def generate_corpus(n: int, max_states: int, alphabet_size: int, seed: int) -> l
     probability one half, minimizes them, and redraws any language equal to
     the empty or the universal one.
     """
-    if n <= 0 or max_states <= 0 or not 1 <= alphabet_size <= 26:
+    if n <= 0 or not 1 <= alphabet_size <= 26:
         raise InputError("corpus parameters must be positive (alphabet size at most 26)")
+    if max_states < 2:
+        # every one-state language is the empty or the universal one
+        raise InputError(f"max states must be at least 2, got {max_states}")
     alphabet = tuple(string.ascii_lowercase[:alphabet_size])
     rng = random.Random(seed)
     out: list[Automaton] = []

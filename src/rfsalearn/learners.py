@@ -10,7 +10,6 @@ queries.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import (
@@ -19,6 +18,7 @@ from .automata import (
     _ResidualOrder,
     determinize_labeled,
     is_covered,
+    least_words,
     reverse_automaton,
     reverse_word,
     trim,
@@ -123,20 +123,6 @@ def nlstar(teacher, iteration_cap: int | None = None) -> LearnerResult:
         table.fill(teacher)
 
 
-def _shortest_words_from(auto: Automaton, start: int) -> dict[int, Word]:
-    """Length-lexicographically least word from ``start`` to each reachable state."""
-    words = {start: ()}
-    queue = deque([start])
-    while queue:
-        q = queue.popleft()
-        for a in auto.alphabet:
-            for r in auto.step(q, a):
-                if r not in words:
-                    words[r] = words[q] + (a,)
-                    queue.append(r)
-    return words
-
-
 def _residual_order_contexts(auto: Automaton) -> list[Word]:
     """Contexts that make table rows mirror the residual structure of ``auto``.
 
@@ -174,8 +160,7 @@ def two_step_reversal(session) -> LearnerResult:
     row_auto, _ = derive_dfa_with_reps(table)
     b = reverse_automaton(trim(row_auto))
     det, labels = determinize_labeled(b)
-    (det_start,) = det.initial
-    words = _shortest_words_from(det, det_start)
+    words = dict(least_words(det.initial, det._arcs))
     for i, subset in enumerate(labels):
         if not is_covered(subset, labels):
             table.add_context(reverse_word(words[i]))
@@ -203,7 +188,7 @@ def two_step_prime_contexts(teacher) -> LearnerResult:
     state_of = {table._mask(rep): i for i, rep in enumerate(reps)}
     start_states = [(s, state_of[table._mask(s)]) for s in table.red]
     for s, start in start_states:
-        reach = _shortest_words_from(row_auto, start)
+        reach = dict(least_words((start,), row_auto._arcs))
         for target in sorted(row_auto.final):
             if target in reach:
                 table.add_context(reach[target])

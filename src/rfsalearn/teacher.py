@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .automata import (
     Automaton,
-    InputError,
     Word,
     reverse_automaton,
     reverse_word,
@@ -40,7 +39,6 @@ class TeacherSession:
         self.target = target
         self.stats = QueryStats()
         self._cache: dict[Word, int] = {}
-        self._symbols = frozenset(target.alphabet)
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -48,14 +46,13 @@ class TeacherSession:
 
     def mq(self, w: Word) -> int:
         w = tuple(w)
-        for a in w:
-            if a not in self._symbols:
-                raise InputError(f"symbol {a!r} not in target alphabet")
-        self.stats.mq_total += 1
-        if w not in self._cache:
+        answer = self._cache.get(w)
+        if answer is None:
+            # ``accepts`` rejects a foreign symbol before anything is counted.
+            answer = self._cache[w] = int(self.target.accepts(w))
             self.stats.mq_distinct += 1
-            self._cache[w] = int(self.target.accepts(w))
-        return self._cache[w]
+        self.stats.mq_total += 1
+        return answer
 
     def eq(self, hypothesis: Automaton) -> Word | None:
         """None when the hypothesis matches the target, else the least counterexample."""

@@ -1,12 +1,38 @@
-"""Shared fixtures: small reference automata, table builders, and a per-pair
-residual-order reference that the single-pass kernel is checked against."""
+"""Shared fixtures: small reference automata, random minimal DFAs, table
+builders, a brute-force word enumerator, and a per-pair residual-order
+reference that the single-pass kernel is checked against."""
 import dataclasses
 from collections import deque
 
-from rfsalearn.automata import Automaton, shortest_difference_witness, word
+from hypothesis import strategies as st
+
+from rfsalearn.automata import Automaton, minimize, shortest_difference_witness, word
 from rfsalearn.tables import ObservationTable
 
 AB = ("a", "b")
+
+
+def all_words(alphabet, up_to):
+    """Every word of length at most ``up_to`` in length-lexicographic order.
+
+    Plain enumeration, no search: the reference for the package's least-word
+    searches.
+    """
+    current = [()]
+    yield ()
+    for _ in range(up_to):
+        current = [w + (a,) for w in current for a in sorted(alphabet)]
+        yield from current
+
+
+@st.composite
+def minimal_dfas(draw):
+    """Random minimal DFAs over 1-3 letters with up to 12 states."""
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 12))
+    arcs = [(q, a, draw(st.integers(0, n - 1))) for q in range(n) for a in alphabet]
+    final = draw(st.sets(st.integers(0, n - 1)))
+    return minimize(Automaton(alphabet, n, {0}, final, arcs))
 
 
 def even_a():

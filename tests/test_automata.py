@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import empty_lang, ends_a, even_a, nfa_ends_a, universal_lang
+from helpers import AB, all_words, empty_lang, ends_a, even_a, nfa_ends_a, universal_lang
 from rfsalearn.automata import (
     Automaton,
     ContractError,
@@ -12,6 +12,7 @@ from rfsalearn.automata import (
     determinize_labeled,
     format_automaton,
     isomorphic,
+    least_words,
     minimize,
     parse_automaton,
     reverse_automaton,
@@ -20,16 +21,6 @@ from rfsalearn.automata import (
     trim,
     word,
 )
-
-
-def all_words(alphabet, up_to):
-    frontier = [()]
-    for w in frontier:
-        yield w
-    current = [()]
-    for _ in range(up_to):
-        current = [w + (a,) for w in current for a in alphabet]
-        yield from current
 
 
 # ----------------------------------------------------------------- run/accepts
@@ -196,6 +187,17 @@ def test_minimize_totalizes_partial_input():
     assert m.is_total and m.is_deterministic
     assert m.accepts(word("a"))
     assert not m.accepts(word("ab"))
+
+
+def test_minimize_drops_unreachable_states():
+    # State 2 is final and state 3 is partial; neither is reachable, so
+    # neither the extra final nor the sink that 3 needs may survive.
+    extra = [(2, "a", 2), (2, "b", 3), (3, "a", 2)]
+    for base in (even_a(), ends_a(), empty_lang()):
+        padded = Automaton(
+            base.alphabet, 4, base.initial, base.final | {2}, base.transitions + tuple(extra)
+        )
+        assert minimize(padded) == minimize(base)
 
 
 def test_minimize_output_has_distinct_state_languages():
@@ -400,3 +402,39 @@ def test_trim_preserves_membership_random(a):
     t = trim(a)
     for w in all_words(a.alphabet, 5):
         assert t.accepts(w) == a.accepts(w)
+
+
+# ------------------------------------------------- least words, by brute force
+
+
+@given(automata(), automata())
+@settings(max_examples=80, deadline=None)
+def test_difference_witness_is_first_differing_word(a, b):
+    expected = next((w for w in all_words(AB, 6) if a.accepts(w) != b.accepts(w)), None)
+    got = shortest_difference_witness(a, b)
+    if expected is None:
+        assert got is None or len(got) > 6
+    else:
+        assert got == expected
+
+
+@st.composite
+def small_dfas(draw):
+    """Deterministic, possibly partial, with 1-6 states over 1-3 letters."""
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 6))
+    targets = st.one_of(st.none(), st.integers(0, n - 1))
+    arcs = [(q, a, r) for q in range(n) for a in alphabet if (r := draw(targets)) is not None]
+    return Automaton(alphabet, n, {0}, set(), arcs)
+
+
+@given(small_dfas())
+@settings(max_examples=80, deadline=None)
+def test_least_words_are_least_access_words(dfa):
+    expected = {}
+    for w in all_words(dfa.alphabet, dfa.n_states - 1):
+        for q in dfa.run(dfa.initial, w):
+            expected.setdefault(q, w)
+    found = list(least_words(dfa.initial, dfa._arcs))
+    assert dict(found) == expected
+    assert [w for _, w in found] == sorted(expected.values(), key=lambda w: (len(w), w))

@@ -95,6 +95,15 @@ def test_gen_corpus_respects_bounds(tmp_path):
         assert automaton.is_deterministic and automaton.is_total
 
 
+def test_gen_corpus_rejects_one_state_bound(tmp_path, capsys):
+    # Every one-state language is empty or universal, both of which the
+    # generator redraws, so this bound used to loop forever.
+    out_dir = tmp_path / "corpus"
+    assert main(["gen-corpus", str(out_dir), "--n", "1", "--max-states", "1"]) == 2
+    assert "max states must be at least 2" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_gen_corpus_unary_alphabet(tmp_path):
     out_dir = tmp_path / "unary"
     assert main(["gen-corpus", str(out_dir), "--n", "3", "--max-states", "4", "--alphabet", "1", "--seed", "5"]) == 0

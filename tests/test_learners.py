@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     empty_lang,
     ends_a,
     even_a,
+    minimal_dfas,
     starts_a,
     third_from_end_a,
     universal_lang,
@@ -12,7 +14,9 @@ from rfsalearn.automata import (
     determinize,
     isomorphic,
     minimize,
+    reverse_automaton,
     shortest_difference_witness,
+    trim,
 )
 from rfsalearn.cli import generate_corpus
 from rfsalearn.learners import (
@@ -22,7 +26,7 @@ from rfsalearn.learners import (
     two_step_prime_contexts,
     two_step_reversal,
 )
-from rfsalearn.residuals import canonical_rfsa
+from rfsalearn.residuals import c_of_b, canonical_rfsa
 from rfsalearn.tables import derive_reversal_rfsa
 from rfsalearn.teacher import TeacherSession
 
@@ -194,6 +198,18 @@ def test_learners_agree_on_corpus_sample(index):
             assert isomorphic(result.hypothesis, canonical)
     assert isomorphic(hypotheses["nlstar"], hypotheses["two_step_reversal"])
     assert isomorphic(hypotheses["nlstar"], hypotheses["two_step_prime_contexts"])
+
+
+@given(minimal_dfas())
+@settings(max_examples=100, deadline=None)
+def test_learners_canonical_on_wider_inputs(target):
+    # Alphabets of 1-3 letters and up to 12 states, against the subset oracle
+    # that does not read residuals.
+    oracle = c_of_b(reverse_automaton(trim(canon(reverse_automaton(target)))))
+    assert isomorphic(lstar_col(TeacherSession(target)).hypothesis, target)
+    for learner in (nlstar, two_step_reversal, two_step_prime_contexts):
+        hypothesis = learner(TeacherSession(target)).hypothesis
+        assert isomorphic(hypothesis, oracle), learner.__name__
 
 
 def test_query_bound_orders_report_only(capsys):

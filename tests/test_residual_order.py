@@ -1,10 +1,10 @@
 """The single-pass residual-order kernel against the per-pair reference, and at scale."""
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import (
     AB,
+    minimal_dfas,
     nfa_ends_a,
     nth_from_end_nfa,
     reference_excess_witness,
@@ -66,15 +66,6 @@ def test_kernel_matches_reference_nth_from_end(n):
 @pytest.mark.parametrize("n", range(6, 10))
 def test_kernel_matches_reference_nth_from_start(n):
     assert_matches_reference(canon(reverse_automaton(nth_from_end_nfa(n))))
-
-
-@st.composite
-def minimal_dfas(draw):
-    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
-    n = draw(st.integers(1, 12))
-    arcs = [(q, a, draw(st.integers(0, n - 1))) for q in range(n) for a in alphabet]
-    final = draw(st.sets(st.integers(0, n - 1)))
-    return minimize(Automaton(alphabet, n, {0}, final, arcs))
 
 
 @given(minimal_dfas())

@@ -30,6 +30,10 @@ def test_mq_foreign_symbol():
     session = TeacherSession(even_a())
     with pytest.raises(InputError):
         session.mq(("z",))
+    with pytest.raises(InputError):
+        session.mq(("a", "z"))
+    assert session.stats.mq_total == 0
+    assert session.stats.mq_distinct == 0
 
 
 def test_eq_on_correct_hypothesis():
