@@ -143,6 +143,31 @@ class Automaton:
         """Membership of ``w`` in the language accepted when starting at ``q``."""
         return bool(self.run((q,), w) & self.final)
 
+    @functools.cached_property
+    def _delta(self) -> list[list[int]]:
+        """``delta[i][q]``: the successor of ``q`` on the i-th symbol of a total DFA."""
+        n, k = self.n_states, len(self.alphabet)
+        # Transitions are sorted by state, then symbol, one entry per pair with
+        # a successor: the machine is total and deterministic iff there are
+        # n·k entries holding n·k targets.
+        flat = [t for _, _, targets in self.transitions for t in targets]
+        if not len(self.transitions) == len(flat) == n * k:
+            q, a = next((q, a) for q in range(n) for a in self.alphabet if len(self.step(q, a)) != 1)
+            raise ContractError(
+                f"expected a total deterministic automaton: "
+                f"state {q} has {len(self.step(q, a))} successors on {a!r}"
+            )
+        return [flat[i::k] for i in range(k)]
+
+    @functools.cached_property
+    def _preds(self) -> dict[tuple[int, str], list[int]]:
+        """``(state, symbol)`` → the states with an arc on ``symbol`` into ``state``."""
+        preds: dict[tuple[int, str], list[int]] = {}
+        for q, a, targets in self.transitions:
+            for r in targets:
+                preds.setdefault((r, a), []).append(q)
+        return preds
+
     @property
     def is_deterministic(self) -> bool:
         return len(self.initial) == 1 and all(len(ts) <= 1 for _, _, ts in self.transitions)
@@ -230,24 +255,21 @@ def minimize(dfa: Automaton) -> Automaton:
 
     States are numbered in breadth-first order from the start state over the
     sorted alphabet, so two inputs with the same language produce identical
-    values.
+    values.  A partial input is completed by the subset construction first.
     """
     if not dfa.is_deterministic:
         raise ContractError("minimize requires a deterministic automaton")
+    if len(dfa.transitions) < dfa.n_states * len(dfa.alphabet):  # some pair lacks its arc
+        dfa = determinize(dfa)
     (q0,) = dfa.initial
-    symbols = dfa.alphabet
-    n = sink = dfa.n_states
-    # succ[q][i]: the successor of q on the i-th symbol; missing arcs go to a sink
-    succ = [[min(dfa.step(q, a), default=sink) for a in symbols] for q in range(n)]
-    if any(sink in row for row in succ):
-        succ.append([sink] * len(symbols))
-        n += 1
+    symbols, delta, n = dfa.alphabet, dfa._delta, dfa.n_states
 
     cls = [1 if q in dfa.final else 0 for q in range(n)]
     count = len(set(cls))
     while True:
         sig: dict[tuple[int, ...], int] = {}
-        new = [sig.setdefault((c, *[cls[t] for t in row]), len(sig)) for c, row in zip(cls, succ)]
+        stepped = [[cls[t] for t in row] for row in delta]
+        new = [sig.setdefault(key, len(sig)) for key in zip(cls, *stepped)]
         if len(sig) == count:
             break
         cls, count = new, len(sig)
@@ -255,10 +277,12 @@ def minimize(dfa: Automaton) -> Automaton:
     # Only the classes reached from the start's class are numbered, in
     # breadth-first order; any member stands for its class.
     rep = dict(zip(cls, range(n)))
-    number = {}
-    for c, _ in least_words((cls[q0],), lambda c: zip(symbols, [cls[t] for t in succ[rep[c]]])):
-        number[c] = len(number)
-    arcs = [(number[c], a, number[cls[t]]) for c in number for a, t in zip(symbols, succ[rep[c]])]
+
+    def class_arcs(c):
+        return [(a, cls[row[rep[c]]]) for a, row in zip(symbols, delta)]
+
+    number = {c: i for i, (c, _) in enumerate(least_words((cls[q0],), class_arcs))}
+    arcs = [(number[c], a, number[t]) for c in number for a, t in class_arcs(c)]
     out_final = frozenset(number[c] for c in number if rep[c] in dfa.final)
     return Automaton(symbols, len(number), frozenset({0}), out_final, tuple(arcs))
 
@@ -267,14 +291,13 @@ def useful_states(a: Automaton) -> frozenset[int]:
     """States on some path from an initial state to a final state.
 
     One search forward from the initial states and one backward from the
-    finals over a predecessor list; only the states they reach are used.
+    finals over the predecessor view; only the states they reach are used.
     """
-    preds: dict[int, list[tuple[str, int]]] = {}
-    for q, sym, ts in a.transitions:
-        for r in ts:
-            preds.setdefault(r, []).append((sym, q))
+    def back_arcs(q):
+        return [(sym, p) for sym in a.alphabet for p in a._preds.get((q, sym), ())]
+
     fwd = {q for q, _ in least_words(a.initial, a._arcs)}
-    return frozenset(q for q, _ in least_words(a.final, lambda q: preds.get(q, ())) if q in fwd)
+    return frozenset(q for q, _ in least_words(a.final, back_arcs) if q in fwd)
 
 
 def trim(a: Automaton) -> Automaton:
@@ -332,32 +355,17 @@ class _ResidualOrder:
     """
 
     def __init__(self, dfa: Automaton):
-        self.alphabet = alphabet = dfa.alphabet
-        self.n = n = dfa.n_states
-        k = len(alphabet)
-        # Transitions are sorted by state, then symbol, one entry per pair with
-        # a successor: the machine is total and deterministic iff there are
-        # n·k entries holding n·k targets.
-        flat = [t for _, _, targets in dfa.transitions for t in targets]
-        if not len(dfa.transitions) == len(flat) == n * k:
-            q, a = next((q, a) for q in range(n) for a in alphabet if len(dfa.step(q, a)) != 1)
-            raise ContractError(
-                f"residual order needs a total deterministic automaton: "
-                f"state {q} has {len(dfa.step(q, a))} successors on {a!r}"
-            )
-        # delta[i][q]: the successor of q on the i-th symbol
-        self.delta = [flat[i::k] for i in range(k)]
+        self.dfa = dfa
+        self.alphabet = dfa.alphabet
+        self.n = dfa.n_states
+        self.delta = dfa._delta
         self.final_mask = sum(1 << q for q in dfa.final)
 
     @functools.cached_property
     def dist(self) -> list[list[int]]:
-        n, final = self.n, self.final_mask
-        preimages = []
-        for row in self.delta:
-            pre: list[list[int]] = [[] for _ in range(n)]
-            for q, t in enumerate(row):
-                pre[t].append(q)
-            preimages.append(pre)
+        n, final, preds = self.n, self.final_mask, self.dfa._preds
+        # pre[i][q]: the predecessors of q on the i-th symbol, indexed for the hot loop
+        pre = [[preds.get((q, a), ()) for q in range(n)] for a in self.alphabet]
         dist = [[-1] * n for _ in range(n)]
         frontier = []
         for p in range(n):
@@ -371,9 +379,9 @@ class _ResidualOrder:
             d += 1
             reached = []
             for p, q in frontier:
-                for pre in preimages:
-                    sources = pre[q]
-                    for p2 in pre[p]:
+                for by_state in pre:
+                    sources = by_state[q]
+                    for p2 in by_state[p]:
                         row = dist[p2]
                         for q2 in sources:
                             if row[q2] < 0:
@@ -433,14 +441,7 @@ class _ResidualOrder:
 def _joint_colors(a: Automaton, b: Automaton) -> tuple[list[int], list[int]]:
     """Stable structural colors computed jointly so they compare across automata."""
 
-    def preds(aut):
-        p: dict[tuple[int, str], set[int]] = {}
-        for q, sym, ts in aut.transitions:
-            for r in ts:
-                p.setdefault((r, sym), set()).add(q)
-        return p
-
-    pa, pb = preds(a), preds(b)
+    pa, pb = a._preds, b._preds
     ca = [(q in a.initial, q in a.final) for q in range(a.n_states)]
     cb = [(q in b.initial, q in b.final) for q in range(b.n_states)]
     index = {k: i for i, k in enumerate(sorted(set(ca) | set(cb)))}

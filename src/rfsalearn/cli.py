@@ -32,7 +32,7 @@ from .learners import (
     two_step_prime_contexts,
     two_step_reversal,
 )
-from .residuals import canonical_rfsa
+from .residuals import canonical_rfsa, is_prime, residual_index
 from .teacher import TeacherSession
 
 ALGORITHMS = {
@@ -116,7 +116,8 @@ def run_benchmark_record(
 ) -> tuple[BenchRecord, Automaton | None]:
     """One learning run with post-hoc correctness verified by a fresh witness check."""
     mindfa = minimize(determinize(target))
-    primes = canonical_rfsa(mindfa).n_states
+    index = residual_index(mindfa)
+    primes = sum(is_prime(index, q) for q in range(mindfa.n_states))
     session = TeacherSession(target)
     begin = time.perf_counter()
     correct = 0

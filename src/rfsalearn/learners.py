@@ -33,7 +33,7 @@ from .tables import (
     derive_reversal_rfsa,
     drop_zero_rows_and_columns,
 )
-from .teacher import QueryStats, reversal_teacher
+from .teacher import QueryStats, ReversalTeacher
 
 
 class DiagnosticError(RuntimeError):
@@ -153,7 +153,7 @@ def two_step_reversal(session) -> LearnerResult:
     context realizing it.  The completion costs membership queries only; the
     reduction and derivation that follow issue no queries at all.
     """
-    rev = reversal_teacher(session)
+    rev = ReversalTeacher(session)
     first = lstar_col(rev)
     table = first.final_table
 

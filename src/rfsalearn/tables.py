@@ -30,6 +30,19 @@ def _pack(bits) -> int:
     return mask
 
 
+def _lex_key(w: Word):
+    """Length-lexicographic order; the alphabet is sorted, so symbols compare in its order."""
+    return (len(w), w)
+
+
+def _least_per_value(words, value) -> dict:
+    """Each distinct ``value(w)`` → its length-lex least ``w``, in length-lex order of those."""
+    least: dict = {}
+    for w in sorted(words, key=_lex_key):
+        least.setdefault(value(w), w)
+    return least
+
+
 def _column(row_masks: list[int], j: int) -> int:
     """Column ``j`` as a mask over the rows: bit ``i`` is bit ``j`` of ``row_masks[i]``."""
     return _pack((m >> j) & 1 for m in row_masks)
@@ -54,7 +67,6 @@ class ObservationTable:
         if len(set(symbols)) != len(symbols):
             raise InputError("duplicate alphabet symbol")
         self._alphabet = symbols
-        self._sym_index = {a: i for i, a in enumerate(symbols)}
         self._red: list[Word] = [EPSILON]
         self._red_set = {EPSILON}
         self._contexts: list[Word] = [EPSILON]
@@ -160,9 +172,6 @@ class ObservationTable:
         """Context at the lowest set position of ``bits``."""
         return self._contexts[(bits & -bits).bit_length() - 1]
 
-    def _lex_key(self, w: Word):
-        return (len(w), tuple(self._sym_index[a] for a in w))
-
     # ------------------------------------------------------------- mutations
 
     def _rebuild_blue(self):
@@ -226,7 +235,7 @@ class ObservationTable:
         violators = [s for s in self._blue if self._mask(s) not in red_values]
         if not violators:
             return None
-        return min(violators, key=self._lex_key)
+        return min(violators, key=_lex_key)
 
     def is_consistent(self) -> Word | None:
         """None when consistent, else the least context ``a·e`` fixing a violation."""
@@ -261,13 +270,7 @@ class ObservationTable:
     def ncov_red(self) -> tuple[Word, ...]:
         """Least red representative of every non-coverable distinct red row."""
         keep = self._noncoverable_masks()
-        reps: dict[int, Word] = {}
-        for s in self._red:
-            mask = self._mask(s)
-            if mask in keep:
-                if mask not in reps or self._lex_key(s) < self._lex_key(reps[mask]):
-                    reps[mask] = s
-        return tuple(sorted(reps.values(), key=self._lex_key))
+        return tuple(s for m, s in _least_per_value(self._red, self._mask).items() if m in keep)
 
     def is_rfsa_closed(self) -> Word | None:
         """None when every blue row is an OR of non-coverable red rows.
@@ -280,7 +283,7 @@ class ObservationTable:
         violators = [s for s in self._blue if self._mask(s) in keep and self._mask(s) not in red_values]
         if not violators:
             return None
-        return min(violators, key=self._lex_key)
+        return min(violators, key=_lex_key)
 
     def is_rfsa_consistent(self) -> Word | None:
         """None when row inclusion survives one-symbol extension, else the least fix ``a·e``."""
@@ -397,23 +400,11 @@ def apply_modifications(table: ObservationTable) -> ModifiedTable:
     removals, since the reduction may drop that column.
     """
     _check_derivable(table)
-    lex = table._lex_key
     pos = table._context_pos
 
-    row_reps: dict[int, Word] = {}
-    for s in table.red:
-        value = table._mask(s)
-        if value not in row_reps or lex(s) < lex(row_reps[value]):
-            row_reps[value] = s
-    red1 = sorted(row_reps.values(), key=lex)
-    masks1 = [table._mask(s) for s in red1]
-
-    col_reps: dict[int, Word] = {}
-    for j, e in enumerate(table.contexts):
-        value = _column(masks1, j)
-        if value not in col_reps or lex(e) < lex(col_reps[value]):
-            col_reps[value] = e
-    cols1 = sorted(col_reps.values(), key=lex)
+    row_reps = _least_per_value(table.red, table._mask)
+    red1, masks1 = list(row_reps.values()), list(row_reps)
+    cols1 = list(_least_per_value(table.contexts, lambda e: _column(masks1, pos[e])).values())
 
     eps_at = pos[EPSILON]
     eps_obs = {s: (m >> eps_at) & 1 for s, m in zip(red1, masks1)}
@@ -468,10 +459,6 @@ def derive_reversal_rfsa(modified: ModifiedTable) -> Automaton:
     inner = modified_row_automaton(modified)
 
     useful = useful_states(inner)
-    preds: dict[tuple[int, str], set[int]] = {}
-    for q, a, ts in inner.transitions:
-        for r in ts:
-            preds.setdefault((r, a), set()).add(q)
     masks = [table._mask(s) for s in reds]
     column_sets = [
         frozenset(i for i, m in enumerate(masks) if (m >> j) & 1) for j in range(len(table.contexts))
@@ -482,7 +469,7 @@ def derive_reversal_rfsa(modified: ModifiedTable) -> Automaton:
         for a in table.alphabet:
             pred_union: set[int] = set()
             for q in q1 & useful:
-                pred_union |= {p for p in preds.get((q, a), ()) if p in useful}
+                pred_union |= {p for p in inner._preds.get((q, a), ()) if p in useful}
             for j, q2 in enumerate(column_sets):
                 if q2 <= pred_union:
                     arcs.append((i, a, j))

@@ -90,7 +90,3 @@ class ReversalTeacher:
     def eq(self, hypothesis: Automaton) -> Word | None:
         witness = self.base.eq(reverse_automaton(hypothesis))
         return None if witness is None else reverse_word(witness)
-
-
-def reversal_teacher(session) -> ReversalTeacher:
-    return ReversalTeacher(session)

@@ -27,11 +27,17 @@ def all_words(alphabet, up_to):
 
 @st.composite
 def minimal_dfas(draw):
-    """Random minimal DFAs over 1-3 letters with up to 12 states."""
+    """Random minimal DFAs over 1-3 letters with up to 12 states.
+
+    With two or more states the final set is neither empty nor full (state 0
+    is toggled), so fewer draws collapse to the empty or universal language.
+    """
     alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
     n = draw(st.integers(1, 12))
     arcs = [(q, a, draw(st.integers(0, n - 1))) for q in range(n) for a in alphabet]
     final = draw(st.sets(st.integers(0, n - 1)))
+    if n > 1 and len(final) in (0, n):
+        final ^= {0}
     return minimize(Automaton(alphabet, n, {0}, final, arcs))
 
 

@@ -2,12 +2,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import AB, all_words, empty_lang, ends_a, even_a, nfa_ends_a, universal_lang
+from helpers import (
+    AB,
+    all_words,
+    empty_lang,
+    ends_a,
+    even_a,
+    nfa_ends_a,
+    nth_from_end_nfa,
+    starts_a,
+    universal_lang,
+)
 from rfsalearn.automata import (
     Automaton,
     ContractError,
     InputError,
     ParseError,
+    _ResidualOrder,
     determinize,
     determinize_labeled,
     format_automaton,
@@ -210,6 +221,80 @@ def test_minimize_output_has_distinct_state_languages():
                     m.accepts_from(q1, w) != m.accepts_from(q2, w)
                     for w in all_words(m.alphabet, n)
                 )
+
+
+# ------------------------------------------------------------ transition views
+
+
+def nth_end_dfas():
+    return [minimize(determinize(nth_from_end_nfa(n))) for n in range(3, 7)]
+
+
+def partial_dfa():
+    return Automaton(AB, 2, {0}, {1}, [(0, "a", 1), (0, "b", 0), (1, "a", 1)])
+
+
+def nfa_fixtures():
+    return [nfa_ends_a(), partial_dfa()] + [nth_from_end_nfa(n) for n in range(3, 7)]
+
+
+def test_delta_is_the_single_successor(corpus):
+    for dfa in list(corpus) + nth_end_dfas():
+        delta = dfa._delta
+        assert len(delta) == len(dfa.alphabet)
+        for i, a in enumerate(dfa.alphabet):
+            assert len(delta[i]) == dfa.n_states
+            for q in range(dfa.n_states):
+                assert dfa.step(q, a) == {delta[i][q]}
+
+
+def test_preds_list_exactly_the_predecessors(corpus):
+    for aut in list(corpus) + nth_end_dfas() + nfa_fixtures():
+        expected = {}
+        for r in range(aut.n_states):
+            for a in aut.alphabet:
+                sources = [q for q in range(aut.n_states) if r in aut.step(q, a)]
+                if sources:
+                    expected[(r, a)] = sources
+        assert aut._preds == expected
+
+
+def test_delta_rejects_nfa_and_partial_input():
+    with pytest.raises(ContractError, match="state 0 has 2 successors on 'a'"):
+        nfa_ends_a()._delta
+    partial = partial_dfa()
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(ContractError, match="state 1 has 0 successors on 'b'"):
+            partial._delta
+    with pytest.raises(ContractError, match="total deterministic"):
+        nth_from_end_nfa(3)._delta
+
+
+def test_views_leave_equality_and_hash_unchanged(corpus):
+    for aut in list(corpus[:20]) + nth_end_dfas() + nfa_fixtures():
+        fields = (aut.alphabet, aut.n_states, aut.initial, aut.final, aut.transitions)
+        built, plain = Automaton(*fields), Automaton(*fields)
+        before = hash(built)
+        built._preds
+        if built.is_deterministic and built.is_total:
+            built._delta
+        assert built == plain and plain == built
+        assert hash(built) == before == hash(plain)
+        assert repr(built) == repr(plain)
+
+
+def test_minimize_partial_equals_minimize_of_completion(corpus):
+    partials = [partial_dfa(), trim(starts_a())]
+    partials += [p for p in map(trim, corpus) if not p.is_total]
+    assert len(partials) > 10
+    for p in partials:
+        assert p.is_deterministic and not p.is_total
+        assert minimize(p) == minimize(determinize(p))
+
+
+def test_residual_order_reads_the_cached_delta():
+    for base in nth_end_dfas():
+        assert _ResidualOrder(base).delta is base._delta
 
 
 # ----------------------------------------------------------------------- trim

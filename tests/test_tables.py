@@ -1,18 +1,23 @@
 import itertools
+import random
 
 import pytest
 
 from helpers import (
     AB,
+    all_words,
     ends_a,
     even_a,
     table_for,
     table_from_bits,
+    third_from_end_a,
     universal_lang,
 )
-from rfsalearn.automata import ContractError, InputError, isomorphic, minimize, word
+from rfsalearn.automata import Automaton, ContractError, InputError, isomorphic, minimize, word
+from rfsalearn.learners import lstar_col
 from rfsalearn.tables import (
     ObservationTable,
+    _least_per_value,
     apply_modifications,
     derive_rfsa,
     derive_dfa,
@@ -473,6 +478,97 @@ def test_dump_format():
     t = table_for(even_a(), [""], [""])
     expected = "\t^\n^\t1\n--\na\t0\nb\t1\n"
     assert t.dump() == expected
+
+
+# ------------------------------------------------- length-lex order of words
+
+# Multi-character symbols: "a"·"ba" and "ab"·"a" spell the same string, and
+# "a"·"bb" spells a later string than "ab"·"a" but comes first by symbol rank.
+MULTI = ("bb", "ba", "a", "b", "ab")
+
+
+def multi_letter_lang():
+    """Words whose symbol weights sum to 0 mod 3, over MULTI."""
+    weight = {"a": 1, "ab": 2, "b": 0, "ba": 1, "bb": 2}
+    arcs = [(q, a, (q + w) % 3) for q in range(3) for a, w in weight.items()]
+    return Automaton(MULTI, 3, {0}, {0}, arcs)
+
+
+def rank_key(alphabet):
+    """Length-lex key through each symbol's rank in the sorted alphabet."""
+    rank = {a: i for i, a in enumerate(sorted(alphabet))}
+    return lambda w: (len(w), tuple(rank[a] for a in w))
+
+
+def reference_least_per_value(words, value, key):
+    least = {}
+    for w in words:
+        v = value(w)
+        if v not in least or key(w) < key(least[v]):
+            least[v] = w
+    return sorted(least.values(), key=key)
+
+
+def random_tables(lang, count, seed):
+    """Tables over random prefix-closed RED lists and random context lists."""
+    rng = random.Random(seed)
+    contexts = list(all_words(lang.alphabet, 2))
+    for _ in range(count):
+        red = [()]
+        for _ in range(rng.randrange(1, 8)):
+            w = rng.choice(red) + (rng.choice(lang.alphabet),)
+            if w not in red:
+                red.append(w)
+        yield table_for(lang, red, rng.sample(contexts, rng.randrange(1, 5)))
+
+
+def test_table_key_orders_multi_letter_words_by_symbol_rank():
+    # RED lists "ab" first, so its blue words come first in stored order.
+    red = [(), ("ab",), ("a",)]
+    blue = {("ab", "a"): [1], ("a", "ba"): [1], ("a", "bb"): [1]}
+    t = table_from_bits(red, [()], [[0], [0], [0]], blue, alphabet=MULTI)
+    assert t.is_closed() == ("a", "ba")
+    words = [("ab", "a"), ("a", "bb")]
+    assert list(_least_per_value(words, len).values()) == [("a", "bb")]
+
+
+def test_table_key_picks_the_rank_reference_violators():
+    for lang in (ends_a(), even_a(), third_from_end_a(), multi_letter_lang()):
+        key = rank_key(lang.alphabet)
+        for t in random_tables(lang, 40, seed=7):
+            red_rows = {t.row(s) for s in t.red}
+            violators = [s for s in t.blue if t.row(s) not in red_rows]
+            assert t.is_closed() == min(violators, key=key, default=None)
+            violators = [s for s in violators if not t.is_row_coverable(s, t.words())]
+            assert t.is_rfsa_closed() == min(violators, key=key, default=None)
+            reps = reference_least_per_value(t.red, t.row, key)
+            assert t.ncov_red() == tuple(s for s in reps if not t.is_row_coverable(s, t.words()))
+
+
+def test_table_key_picks_the_rank_reference_representatives():
+    for lang in (third_from_end_a(), multi_letter_lang()):
+        key = rank_key(lang.alphabet)
+        session = TeacherSession(lang)
+        table = lstar_col(session).final_table
+        # More contexts keep a learned table closed and consistent, and give
+        # it equal columns to choose among.
+        for e in all_words(lang.alphabet, 2):
+            table.add_context(e)
+        table.fill(session)
+        words = sorted(table.words(), key=lambda w: (-len(w), w))
+        least = _least_per_value(words, table.row)
+        assert list(least.values()) == reference_least_per_value(words, table.row, key)
+
+        red1 = reference_least_per_value(table.red, table.row, key)
+
+        def column(e):
+            return tuple(table.obs(s, e) for s in red1)
+
+        cols1 = reference_least_per_value(table.contexts, column, key)
+        assert len(cols1) < len(table.contexts)
+        reduced = apply_modifications(table).table
+        assert [s for s in red1 if s in reduced.red] == list(reduced.red)
+        assert [e for e in cols1 if e in reduced.contexts] == list(reduced.contexts)
 
 
 # ------------------------------------------------------ structural invariants

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import AB, empty_lang, ends_a, even_a, starts_a, universal_lang
 from rfsalearn.automata import Automaton, InputError, word
-from rfsalearn.teacher import TeacherSession, reversal_teacher
+from rfsalearn.teacher import ReversalTeacher, TeacherSession
 
 
 def test_mq_empty_language_all_zero():
@@ -62,7 +62,7 @@ def test_eq_missing_loop_counterexample():
 
 def test_reversal_view_on_reversal_closed_language():
     session = TeacherSession(even_a())
-    view = reversal_teacher(session)
+    view = ReversalTeacher(session)
     for text in ("", "a", "ab", "ba", "abb"):
         assert view.mq(word(text)) == session.mq(word(text))
 
@@ -70,25 +70,25 @@ def test_reversal_view_on_reversal_closed_language():
 def test_reversal_view_teaches_reversed_language():
     # target: starts with a — the view teaches "ends with a"
     session = TeacherSession(starts_a())
-    view = reversal_teacher(session)
+    view = ReversalTeacher(session)
     assert view.mq(word("ab")) == 0
     assert view.mq(word("ba")) == 1
     # target: ends with a — the view teaches "starts with a"
     session = TeacherSession(ends_a())
-    view = reversal_teacher(session)
+    view = ReversalTeacher(session)
     assert view.mq(word("ab")) == 1
     assert view.mq(word("ba")) == 0
 
 
 def test_reversal_view_eq_accepts_correct_reversal():
     session = TeacherSession(ends_a())
-    view = reversal_teacher(session)
+    view = ReversalTeacher(session)
     assert view.eq(starts_a()) is None
 
 
 def test_reversal_view_counterexample_is_reversed():
     session = TeacherSession(starts_a())
-    view = reversal_teacher(session)
+    view = ReversalTeacher(session)
     witness = view.eq(empty_lang())
     assert witness is not None
     assert starts_a().accepts(tuple(reversed(witness)))
@@ -96,7 +96,7 @@ def test_reversal_view_counterexample_is_reversed():
 
 def test_double_reversal_equals_base():
     base = TeacherSession(ends_a())
-    twice = reversal_teacher(reversal_teacher(base))
+    twice = ReversalTeacher(ReversalTeacher(base))
     probe = TeacherSession(ends_a())
     for text in ("", "a", "b", "ab", "ba", "bab"):
         assert twice.mq(word(text)) == probe.mq(word(text))
@@ -105,7 +105,7 @@ def test_double_reversal_equals_base():
 
 def test_counters_accrue_to_underlying_session():
     session = TeacherSession(ends_a())
-    view = reversal_teacher(session)
+    view = ReversalTeacher(session)
     view.mq(word("a"))
     view.eq(empty_lang())
     assert session.stats.mq_total == 1
