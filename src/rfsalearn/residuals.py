@@ -21,7 +21,7 @@ from .automata import (
     _ResidualOrder,
     determinize_labeled,
     is_covered,
-    minimize,
+    least_words,
     reverse_automaton,
     shortest_difference_witness,
 )
@@ -39,16 +39,33 @@ class ResidualIndex:
     includes: tuple[tuple[bool, ...], ...]
 
 
-def _require_minimal(l_dfa: Automaton):
-    if minimize(l_dfa) != l_dfa:
-        raise ContractError("expected a minimal DFA in canonical numbering")
+def _minimal_includes(l_dfa: Automaton) -> tuple[tuple[bool, ...], ...]:
+    """Residual inclusion matrix of ``l_dfa``, which must equal ``minimize(l_dfa)``.
+
+    That holds iff ``l_dfa`` is a total DFA, a breadth-first walk from start
+    state 0 over the sorted alphabet visits the states 0..n-1 in order, and no
+    two states have the same residual, that is the same row of inclusions.
+    """
+    error = ContractError("expected a minimal DFA in canonical numbering")
+    if l_dfa.initial != {0}:
+        raise error
+    try:
+        order = _ResidualOrder(l_dfa)
+    except ContractError:
+        raise error from None
+    steps = tuple(zip(l_dfa.alphabet, order.delta))
+    walk = least_words((0,), lambda q: [(a, row[q]) for a, row in steps])
+    if [q for q, _ in walk] != list(range(l_dfa.n_states)):
+        raise error
+    includes = tuple(tuple(d < 0 for d in row) for row in order.dist)
+    if len(set(includes)) != l_dfa.n_states:
+        raise error
+    return includes
 
 
 def residual_index(l_dfa: Automaton) -> ResidualIndex:
     """Inclusion matrix of the residuals, from one pass over the state pairs."""
-    _require_minimal(l_dfa)
-    dist = _ResidualOrder(l_dfa).dist
-    return ResidualIndex(l_dfa, tuple(tuple(d < 0 for d in row) for row in dist))
+    return ResidualIndex(l_dfa, _minimal_includes(l_dfa))
 
 
 def is_prime(index: ResidualIndex, q: int) -> bool:
@@ -134,7 +151,7 @@ def min_distinguishing_context_count(l_dfa: Automaton, budget: int = 4) -> int:
     enumerated as the reachable state sets of the reversed machine.  Searches
     subsets exhaustively, so inputs are capped at ``budget`` states.
     """
-    _require_minimal(l_dfa)
+    _minimal_includes(l_dfa)
     n = l_dfa.n_states
     if n > budget:
         raise InputError(f"state count {n} exceeds the brute-force budget {budget}")

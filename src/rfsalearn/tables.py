@@ -8,6 +8,7 @@ which keeps the closedness/coverability predicates cheap.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .automata import (
@@ -72,8 +73,15 @@ class ObservationTable:
         self._contexts: list[Word] = [EPSILON]
         self._context_pos = {EPSILON: 0}
         self._cells: dict[Word, tuple[int, int]] = {EPSILON: (0, 0)}
-        self._blue: list[Word] = []
-        self._rebuild_blue()
+        # BLUE and the rows with unset cells, as insertion-ordered dicts.
+        self._blue: dict[Word, None] = {}
+        self._pending: dict[Word, None] = {EPSILON: None}
+        # ``is_closed``'s state between calls: the red row values and a heap
+        # of (possibly stale) violators, or None until the next full rescan;
+        # plus the rows filled or promoted since the last call.
+        self._closed: tuple[set[int], list] | None = None
+        self._dirty: list[Word] = []
+        self._extend_blue(EPSILON)
 
     @classmethod
     def from_rows(cls, alphabet, red, contexts, rows):
@@ -113,11 +121,12 @@ class ObservationTable:
         table._red_set = set(table._red)
         table._contexts = list(contexts)
         table._context_pos = {e: j for j, e in enumerate(table._contexts)}
-        table._cells = {}
-        table._rebuild_blue()
+        table._blue = {}
+        for r in table._red:
+            table._extend_blue(r)
         width = len(table._contexts)
-        for w in table.words():
-            table._cells[w] = (mask_of(w), width)
+        table._cells = {w: (mask_of(w), width) for w in table.words()}
+        table._pending = {}
         return table
 
     # ------------------------------------------------------------------ views
@@ -174,17 +183,16 @@ class ObservationTable:
 
     # ------------------------------------------------------------- mutations
 
-    def _rebuild_blue(self):
-        blue = []
-        for r in self._red:
-            for a in self._alphabet:
-                w = r + (a,)
-                if w not in self._red_set:
-                    blue.append(w)
-        self._blue = blue
-        for w in blue:
-            if w not in self._cells:
-                self._cells[w] = (0, 0)
+    def _extend_blue(self, r: Word):
+        """Append to BLUE the one-symbol extensions of ``r`` that are not red."""
+        for a in self._alphabet:
+            w = r + (a,)
+            if w not in self._red_set:
+                self._blue[w] = None
+                if w not in self._cells:
+                    self._cells[w] = (0, 0)
+                    if self._contexts:
+                        self._pending[w] = None
 
     def add_red(self, s: Word):
         """Promote ``s`` (a one-symbol extension of a red word) into RED."""
@@ -195,9 +203,14 @@ class ObservationTable:
             raise ContractError(f"promoting {s!r} would break prefix-closure")
         self._red.append(s)
         self._red_set.add(s)
-        if s not in self._cells:
-            self._cells[s] = (0, 0)
-        self._rebuild_blue()
+        self._blue.pop(s, None)
+        if self._cells.setdefault(s, (0, 0))[1] < len(self._contexts):
+            # Pending red rows keep their promotion order, as RED does.
+            self._pending.pop(s, None)
+            self._pending[s] = None
+        if self._closed is not None:
+            self._dirty.append(s)
+        self._extend_blue(s)
         return self
 
     def add_context(self, e: Word):
@@ -207,20 +220,31 @@ class ObservationTable:
             return self
         self._context_pos[e] = len(self._contexts)
         self._contexts.append(e)
+        # Every row gains an unset cell, and every red row value will change.
+        if len(self._pending) < len(self._cells):  # some row had none
+            self._pending = dict.fromkeys(self.words())
+        self._closed = None
+        self._dirty.clear()
         return self
+
+    def _pending_rows(self) -> list[Word]:
+        """Rows with unset cells in stored order: RED first, then BLUE."""
+        red = self._red_set
+        return [w for w in self._pending if w in red] + [w for w in self._pending if w not in red]
 
     def fill(self, teacher):
         """Ask the teacher for every unset cell, in stored row/context order."""
         contexts = self._contexts
         width = len(contexts)
-        for w in self.words():
+        for w in self._pending_rows():
             mask, filled = self._cells[w]
-            if filled == width:
-                continue
             for j in range(filled, width):
                 if teacher.mq(w + contexts[j]):
                     mask |= 1 << j
             self._cells[w] = (mask, width)
+            del self._pending[w]
+            if self._closed is not None:
+                self._dirty.append(w)
         return self
 
     # ------------------------------------------------------------ predicates
@@ -230,12 +254,36 @@ class ObservationTable:
         return self._mask(r) != self._mask(s)
 
     def is_closed(self) -> Word | None:
-        """None when closed, else the least blue word matching no red row."""
-        red_values = {self._mask(s) for s in self._red}
-        violators = [s for s in self._blue if self._mask(s) not in red_values]
-        if not violators:
-            return None
-        return min(violators, key=_lex_key)
+        """None when closed, else the least blue word matching no red row.
+
+        Between calls the red row values and a length-lex heap of violators are
+        kept, so a call re-tests only the rows filled or promoted since the
+        last one.  A row leaves the heap lazily, once it is red or its value
+        is: red values only grow until a context is added, which forces a
+        full rescan.
+        """
+        if self._pending:
+            raise ContractError(f"row {self._pending_rows()[0]!r} not fully filled")
+        cells = self._cells
+        if self._closed is None:
+            red_values = {cells[s][0] for s in self._red}
+            heap = [_lex_key(w) for w in self._blue if cells[w][0] not in red_values]
+            heapq.heapify(heap)
+            self._closed = (red_values, heap)
+        else:
+            red_values, heap = self._closed
+            for w in self._dirty:
+                if w in self._red_set:
+                    red_values.add(cells[w][0])
+                elif cells[w][0] not in red_values:
+                    heapq.heappush(heap, _lex_key(w))
+        self._dirty.clear()
+        while heap:
+            w = heap[0][1]
+            if cells[w][0] not in red_values:  # so ``w`` is still blue
+                return w
+            heapq.heappop(heap)
+        return None
 
     def is_consistent(self) -> Word | None:
         """None when consistent, else the least context ``a·e`` fixing a violation."""

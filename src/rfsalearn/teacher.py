@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .automata import (
     Automaton,
+    InputError,
     Word,
     reverse_automaton,
     reverse_word,
@@ -39,6 +40,12 @@ class TeacherSession:
         self.target = target
         self.stats = QueryStats()
         self._cache: dict[Word, int] = {}
+        self._rows = None
+        if target.is_deterministic and target.is_total:
+            # A total DFA answers by one successor-array lookup per symbol.
+            (self._start,) = target.initial
+            self._rows = dict(zip(target.alphabet, target._delta))
+            self._accepting = [int(q in target.final) for q in range(target.n_states)]
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -48,11 +55,21 @@ class TeacherSession:
         w = tuple(w)
         answer = self._cache.get(w)
         if answer is None:
-            # ``accepts`` rejects a foreign symbol before anything is counted.
-            answer = self._cache[w] = int(self.target.accepts(w))
+            # Both paths reject a foreign symbol before anything is counted.
+            answer = self._walk(w) if self._rows is not None else int(self.target.accepts(w))
+            self._cache[w] = answer
             self.stats.mq_distinct += 1
         self.stats.mq_total += 1
         return answer
+
+    def _walk(self, w: Word) -> int:
+        q, rows = self._start, self._rows
+        try:
+            for a in w:
+                q = rows[a][q]
+        except KeyError:
+            raise InputError(f"symbol {a!r} not in alphabet") from None
+        return self._accepting[q]
 
     def eq(self, hypothesis: Automaton) -> Word | None:
         """None when the hypothesis matches the target, else the least counterexample."""

@@ -1,12 +1,19 @@
 """Shared fixtures: small reference automata, random minimal DFAs, table
-builders, a brute-force word enumerator, and a per-pair residual-order
-reference that the single-pass kernel is checked against."""
+builders, a brute-force word enumerator, a per-pair residual-order reference
+that the single-pass kernel is checked against, and a full-rescan observation
+table that the incremental one is checked against."""
 import dataclasses
 from collections import deque
 
 from hypothesis import strategies as st
 
-from rfsalearn.automata import Automaton, minimize, shortest_difference_witness, word
+from rfsalearn.automata import (
+    Automaton,
+    ContractError,
+    minimize,
+    shortest_difference_witness,
+    word,
+)
 from rfsalearn.tables import ObservationTable
 
 AB = ("a", "b")
@@ -188,3 +195,83 @@ def reference_residual_order_contexts(dfa):
         if w is not None:
             contexts.append(w)
     return contexts
+
+
+# ------------------------------------------------- full-rescan table reference
+
+
+class ReferenceTable:
+    """Observation table that recomputes everything from scratch.
+
+    BLUE is rebuilt from RED after every promotion, ``fill`` scans every row
+    in stored order (RED, then BLUE) and ``is_closed`` rescans every blue row.
+    Rows are bit lists, one bit per context filled so far.  The incremental
+    ``ObservationTable`` must give the same answers, the same membership
+    queries in the same order and the same dump.
+    """
+
+    def __init__(self, alphabet):
+        self.alphabet = tuple(sorted(alphabet))
+        self.red = [()]
+        self.contexts = [()]
+        self.cells = {}
+        self.rebuild_blue()
+
+    def rebuild_blue(self):
+        self.blue = [r + (a,) for r in self.red for a in self.alphabet if r + (a,) not in self.red]
+        for w in self.red + self.blue:
+            self.cells.setdefault(w, [])
+
+    def words(self):
+        return tuple(self.red + self.blue)
+
+    def add_red(self, s):
+        if s not in self.red:
+            self.red.append(s)
+            self.rebuild_blue()
+
+    def add_context(self, e):
+        if e not in self.contexts:
+            self.contexts.append(e)
+
+    def fill(self, teacher):
+        for w in self.words():
+            bits = self.cells[w]
+            for e in self.contexts[len(bits):]:
+                bits.append(teacher.mq(w + e))
+
+    def row(self, w):
+        bits = self.cells[w]
+        if len(bits) < len(self.contexts):
+            raise ContractError(f"row {w!r} not fully filled")
+        return tuple(bits)
+
+    def is_closed(self):
+        red_rows = {self.row(s) for s in self.red}
+        violators = [s for s in self.blue if self.row(s) not in red_rows]
+        return min(violators, key=lambda w: (len(w), w), default=None)
+
+    def dump(self):
+        def label(w):
+            return "".join(w) if w else "^"
+
+        def line(w):
+            bits = self.cells[w]
+            cells = [str(bits[j]) if j < len(bits) else "None" for j in range(len(self.contexts))]
+            return "\t".join([label(w)] + cells)
+
+        lines = ["\t".join([""] + [label(e) for e in self.contexts])]
+        lines += [line(s) for s in self.red] + ["--"] + [line(s) for s in self.blue]
+        return "\n".join(lines) + "\n"
+
+
+class RecordingTeacher:
+    """Answers membership queries from ``target`` and records every word asked."""
+
+    def __init__(self, target):
+        self.target = target
+        self.asked = []
+
+    def mq(self, w):
+        self.asked.append(w)
+        return int(self.target.accepts(w))

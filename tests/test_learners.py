@@ -6,6 +6,7 @@ from helpers import (
     ends_a,
     even_a,
     minimal_dfas,
+    nth_from_end_nfa,
     starts_a,
     third_from_end_a,
     universal_lang,
@@ -210,6 +211,17 @@ def test_learners_canonical_on_wider_inputs(target):
     for learner in (nlstar, two_step_reversal, two_step_prime_contexts):
         hypothesis = learner(TeacherSession(target)).hypothesis
         assert isomorphic(hypothesis, oracle), learner.__name__
+
+
+def test_rev2step_at_scale_on_nth_start():
+    # "The 11th symbol from the start is a": 13 DFA states, but rev2step learns
+    # the 2^11-state DFA of the reversal.  The counts are pinned; the time is not.
+    target = canon(reverse_automaton(nth_from_end_nfa(11)))
+    session = TeacherSession(target)
+    result = two_step_reversal(session)
+    assert (session.stats.mq_total, session.stats.mq_distinct) == (49164, 26636)
+    assert shortest_difference_witness(result.hypothesis, target) is None
+    assert isomorphic(result.hypothesis, canonical_rfsa(target))
 
 
 def test_query_bound_orders_report_only(capsys):

@@ -6,11 +6,14 @@ from helpers import (
     empty_lang,
     ends_a,
     even_a,
+    nfa_ends_a,
+    nth_from_end_nfa,
     starts_a,
     third_from_end_a,
     universal_lang,
 )
 from rfsalearn.automata import (
+    Automaton,
     ContractError,
     InputError,
     determinize,
@@ -71,6 +74,67 @@ def test_residual_index_rejects_non_minimal():
     )
     with pytest.raises(ContractError):
         residual_index(duplicated)
+
+
+def _renumbered(dfa, perm):
+    """``dfa`` with state ``q`` renamed ``perm[q]``."""
+    arcs = [(perm[q], a, perm[t]) for q, a, ts in dfa.transitions for t in ts]
+    return Automaton(
+        dfa.alphabet,
+        dfa.n_states,
+        {perm[q] for q in dfa.initial},
+        {perm[q] for q in dfa.final},
+        arcs,
+    )
+
+
+def _variants(dfa):
+    """``dfa`` and copies that are permuted, carry a duplicated or an unreachable
+    state, or are partial."""
+    n = dfa.n_states
+    yield dfa
+    yield _renumbered(dfa, list(range(n))[::-1])
+    yield _renumbered(dfa, [(q + 1) % n for q in range(n)])
+    yield _renumbered(dfa, [0] + list(range(n - 1, 0, -1)))  # the start keeps 0
+    arcs = [(q, a, t) for q, a, ts in dfa.transitions for t in ts]
+    # state n copies the arcs and the finality of the last state; the last
+    # arc into that state is redirected to the copy
+    last = n - 1
+    into = max((i for i, (_, _, t) in enumerate(arcs) if t == last), default=None)
+    if into is not None:
+        copy = [(n, a, t) for q, a, t in arcs if q == last]
+        redirected = list(arcs)
+        redirected[into] = arcs[into][:2] + (n,)
+        final = dfa.final | ({n} if last in dfa.final else set())
+        yield Automaton(dfa.alphabet, n + 1, dfa.initial, final, redirected + copy)
+    # state n is unreachable
+    loops = [(n, a, 0) for a in dfa.alphabet]
+    yield Automaton(dfa.alphabet, n + 1, dfa.initial, dfa.final | {n}, arcs + loops)
+    # partial: the first arc is dropped, and the useless states are trimmed
+    yield Automaton(dfa.alphabet, n, dfa.initial, dfa.final, arcs[1:])
+    yield trim(dfa)
+
+
+def test_minimality_check_agrees_with_minimize(corpus):
+    families = [canon(nth_from_end_nfa(n)) for n in range(3, 7)]
+    hand = [canon(a) for a in (empty_lang(), universal_lang(), even_a(), ends_a(), starts_a())]
+    inputs = [v for dfa in corpus + families + hand for v in _variants(dfa)]
+    inputs += [nfa_ends_a(), even_a()]
+    rejected = 0
+    for x in inputs:
+        try:
+            expected = minimize(x) == x
+        except ContractError:  # not deterministic
+            expected = False
+        try:
+            residual_index(x)
+            accepted = True
+        except ContractError as exc:
+            assert str(exc) == "expected a minimal DFA in canonical numbering"
+            accepted = False
+        assert accepted == expected, x
+        rejected += not accepted
+    assert 0 < rejected < len(inputs)
 
 
 def test_residual_index_matches_word_enumeration():

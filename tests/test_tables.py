@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     AB,
+    RecordingTeacher,
+    ReferenceTable,
     all_words,
     ends_a,
     even_a,
@@ -306,6 +310,13 @@ def test_add_red_requires_prefix():
     t = ObservationTable(AB)
     with pytest.raises(ContractError):
         t.add_red(word("ab"))
+
+
+def test_rows_without_contexts_have_no_unset_cells():
+    t = table_from_bits([""], [], [[]])
+    t.add_red(word("a"))
+    assert t.is_closed() is None
+    assert t.dump() == "\n^\na\n--\nb\naa\nab\n"
 
 
 def test_add_context_counts_cells():
@@ -624,3 +635,81 @@ def test_reduction_keeps_row_language_on_learned_tables():
         from rfsalearn.automata import reverse_automaton
 
         assert shortest_difference_witness(reverse_automaton(inner), lang) is None
+
+
+# ------------------------------------------- incremental table vs full rescan
+
+
+@st.composite
+def table_scripts(draw):
+    """A random total DFA and a random sequence of table mutations.
+
+    Alphabets have 1-3 letters or are the multi-character ``MULTI``.  A step
+    is ``("fill",)``, ``("violator",)`` (promote the least closedness
+    violator, if the table is filled and has one), ``("close",)`` (fill and
+    promote violators until closed, at most 12 times), ``("promote", i)``
+    (promote the ``i``-th row word modulo the row count: a no-op for a red
+    word, possibly before its row is filled) or ``("context", e)``.
+    """
+    alphabet = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c"), MULTI]))
+    n = draw(st.integers(1, 6))
+    arcs = [(q, a, draw(st.integers(0, n - 1))) for q in range(n) for a in alphabet]
+    target = Automaton(alphabet, n, {0}, draw(st.sets(st.integers(0, n - 1))), arcs)
+    step = st.one_of(
+        st.just(("fill",)),
+        st.just(("violator",)),
+        st.just(("close",)),
+        st.tuples(st.just("promote"), st.integers(0, 63)),
+        st.tuples(st.just("context"), st.lists(st.sampled_from(alphabet), max_size=3).map(tuple)),
+    )
+    return target, draw(st.lists(step, max_size=30))
+
+
+def closed_outcome(table):
+    """``is_closed``'s answer, or the message of the ``ContractError`` it raised."""
+    try:
+        return table.is_closed()
+    except ContractError as exc:
+        return str(exc)
+
+
+@given(table_scripts())
+@settings(max_examples=300, deadline=None)
+def test_incremental_table_matches_full_rescan_reference(script):
+    target, steps = script
+    table, reference = ObservationTable(target.alphabet), ReferenceTable(target.alphabet)
+    teacher, reference_teacher = RecordingTeacher(target), RecordingTeacher(target)
+
+    def apply(step):
+        if step[0] == "fill":
+            table.fill(teacher)
+            reference.fill(reference_teacher)
+        elif step[0] == "promote":
+            w = reference.words()[step[1] % len(reference.words())]
+            table.add_red(w)
+            reference.add_red(w)
+        elif step[0] == "context":
+            table.add_context(step[1])
+            reference.add_context(step[1])
+        assert table.blue == tuple(reference.blue)
+        assert table.words() == reference.words()
+        assert closed_outcome(table) == closed_outcome(reference)
+        assert table.dump() == reference.dump()
+        assert teacher.asked == reference_teacher.asked
+
+    def promote_violator():
+        violator = closed_outcome(reference)
+        if isinstance(violator, tuple):
+            apply(("promote", reference.words().index(violator)))
+        return violator
+
+    for step in steps + [("close",)]:
+        if step[0] == "violator":
+            promote_violator()
+        elif step[0] == "close":
+            for _ in range(12):
+                apply(("fill",))
+                if promote_violator() is None:
+                    break
+        else:
+            apply(step)

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import AB, empty_lang, ends_a, even_a, starts_a, universal_lang
 from rfsalearn.automata import Automaton, InputError, word
+from rfsalearn.residuals import c_of_b
 from rfsalearn.teacher import ReversalTeacher, TeacherSession
 
 
@@ -34,6 +39,52 @@ def test_mq_foreign_symbol():
         session.mq(("a", "z"))
     assert session.stats.mq_total == 0
     assert session.stats.mq_distinct == 0
+
+
+@st.composite
+def targets_and_words(draw):
+    """A total DFA, a partial DFA or an NFA over 1-3 letters, and words over its alphabet."""
+    kind = draw(st.sampled_from(["total", "partial", "nfa"]))
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    lo, hi = {"total": (1, 1), "partial": (0, 1), "nfa": (0, 2)}[kind]
+    targets = st.sets(state, min_size=lo, max_size=hi)
+    arcs = [(q, a, draw(targets)) for q in range(n) for a in alphabet]
+    initial = draw(st.sets(state, min_size=1, max_size=2)) if kind == "nfa" else {0}
+    target = Automaton(alphabet, n, initial, draw(st.sets(state)), arcs)
+    words = draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=8).map(tuple), max_size=30))
+    return target, words
+
+
+def _no_dense_view(self):
+    raise AssertionError("the reference read the dense view")
+
+
+@given(targets_and_words())
+@settings(max_examples=200, deadline=None)
+def test_mq_equals_accepts(example):
+    target, words = example
+    session = TeacherSession(target)
+    assert (session._rows is not None) == (target.is_deterministic and target.is_total)
+    # ``accepts`` and the subset oracle ``c_of_b`` must not read the dense
+    # view the teacher and the learners share; ``helpers.all_words`` takes
+    # no automaton at all.
+    with mock.patch.object(Automaton, "_delta", property(_no_dense_view)):
+        expected = [int(target.accepts(w)) for w in words]
+        c_of_b(target)
+    assert [session.mq(w) for w in words] == expected
+    assert session.stats.mq_distinct == len(set(words))
+
+
+def test_mq_foreign_symbol_on_dense_path():
+    for target in (even_a(), starts_a()):
+        session = TeacherSession(target)
+        assert session._rows is not None
+        for w in (("z",), ("a", "z"), ("a", "b", "ab")):
+            with pytest.raises(InputError, match="not in alphabet"):
+                session.mq(w)
+        assert session.stats.mq_total == session.stats.mq_distinct == 0
 
 
 def test_eq_on_correct_hypothesis():
