@@ -41,6 +41,46 @@ class ParseError(ValueError):
         self.line = line
 
 
+@functools.lru_cache(maxsize=64)
+def _checked_alphabet(symbols: tuple) -> tuple[tuple[str, ...], frozenset]:
+    """The sorted alphabet and its symbol set, checked once per distinct tuple."""
+    if len(set(symbols)) != len(symbols):
+        raise InputError("duplicate alphabet symbol")
+    for sym in symbols:
+        if not sym or any(ch.isspace() for ch in sym) or sym.startswith("#"):
+            raise InputError(f"bad alphabet symbol {sym!r}")
+    return tuple(sorted(symbols)), frozenset(symbols)
+
+
+def _check_state(q, n: int) -> None:
+    if not isinstance(q, int) or not 0 <= q < n:
+        raise InputError(f"state id {q!r} out of range 0..{n - 1}")
+
+
+def _state_ids_ok(ids, n: int) -> bool:
+    """True iff the distinct values ``ids`` are all plain ints in 0..n-1."""
+    return not ids or ({*map(type, ids)} == {int} and min(ids) >= 0 and max(ids) < n)
+
+
+def _reiterable(values):
+    """``values``, read into a tuple first when it may be a one-pass iterator."""
+    return values if isinstance(values, (tuple, list, set, frozenset)) else tuple(values)
+
+
+def _checked_states(values, n: int) -> frozenset[int]:
+    """The state ids ``values`` as a frozenset; a bad id raises at the first in order."""
+    values = _reiterable(values)
+    try:
+        ids = frozenset(values)
+        valid = _state_ids_ok(ids, n)
+    except TypeError:  # an unhashable or unordered value
+        valid = False
+    if not valid:
+        for q in values:
+            _check_state(q, n)
+    return ids
+
+
 @dataclass(frozen=True)
 class Automaton:
     """Finite acceptor with integer states 0..n_states-1.
@@ -60,48 +100,59 @@ class Automaton:
     _symbol_set: frozenset = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        symbols = tuple(self.alphabet)
-        if len(set(symbols)) != len(symbols):
-            raise InputError("duplicate alphabet symbol")
-        for sym in symbols:
-            if not sym or any(ch.isspace() for ch in sym) or sym.startswith("#"):
-                raise InputError(f"bad alphabet symbol {sym!r}")
-        symbols = tuple(sorted(symbols))
-        order = {a: i for i, a in enumerate(symbols)}
+        symbols, symbol_set = _checked_alphabet(tuple(self.alphabet))
         n = self.n_states
         if n < 0:
             raise InputError("negative state count")
+        initial = _checked_states(self.initial, n)
+        final = _checked_states(self.final, n)
+        entries = _reiterable(self.transitions)
+        try:
+            columns = tuple(zip(*entries))[:3]
+            if len(columns) == 3 and {*map(type, columns[2])} == {int}:  # one target each
+                triples = set(zip(*columns))
+                targets = set(columns[2])
+            else:
+                # One (q, a, r) triple per target; an entry without targets
+                # still has its state and symbol checked.
+                triples = {
+                    (e[0], e[1], r)
+                    for e in entries
+                    for r in (e[2] if isinstance(e[2], (set, frozenset)) else (e[2],))
+                }
+                targets = {r for _, _, r in triples}
+                columns = ({e[0] for e in entries}, {e[1] for e in entries})
+            valid = {*columns[1]} <= symbol_set and _state_ids_ok({*columns[0], *targets}, n)
+        except (TypeError, IndexError, KeyError):
+            valid = False
+        if not valid:
+            # A bad value, or an int subclass such as ``True``: scan in order,
+            # so that the error names the first bad value.
+            for entry in entries:
+                q, a, rest = entry[0], entry[1], entry[2]
+                _check_state(q, n)
+                if a not in symbol_set:
+                    raise InputError(f"symbol {a!r} not in alphabet")
+                for r in rest if isinstance(rest, (set, frozenset)) else {rest}:
+                    _check_state(r, n)
 
-        def check_state(q):
-            if not isinstance(q, int) or not 0 <= q < n:
-                raise InputError(f"state id {q!r} out of range 0..{n - 1}")
-            return q
-
-        initial = frozenset(check_state(q) for q in self.initial)
-        final = frozenset(check_state(q) for q in self.final)
-
-        grouped: dict[tuple[int, str], set[int]] = {}
-        for entry in self.transitions:
-            q, a, rest = entry[0], entry[1], entry[2]
-            check_state(q)
-            if a not in order:
-                raise InputError(f"symbol {a!r} not in alphabet")
-            targets = rest if isinstance(rest, (set, frozenset)) else {rest}
-            for r in targets:
-                check_state(r)
-            grouped.setdefault((q, a), set()).update(targets)
-
-        normal = tuple(
-            (q, a, frozenset(ts))
-            for (q, a), ts in sorted(grouped.items(), key=lambda kv: (kv[0][0], order[kv[0][1]]))
-            if ts
-        )
+        # Plain tuple order is state, then symbol in alphabet order, since the
+        # alphabet is sorted.
+        ordered = sorted(triples)
+        if len({(q, a) for q, a, _ in ordered}) == len(ordered):  # one target per pair
+            single = {r: frozenset((r,)) for r in targets}
+            normal = tuple([(q, a, single[r]) for q, a, r in ordered])
+        else:
+            grouped: dict[tuple[int, str], list[int]] = {}
+            for q, a, r in ordered:
+                grouped.setdefault((q, a), []).append(r)
+            normal = tuple((q, a, frozenset(ts)) for (q, a), ts in grouped.items())
         object.__setattr__(self, "alphabet", symbols)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "final", final)
         object.__setattr__(self, "transitions", normal)
         object.__setattr__(self, "_step", {(q, a): ts for q, a, ts in normal})
-        object.__setattr__(self, "_symbol_set", frozenset(symbols))
+        object.__setattr__(self, "_symbol_set", symbol_set)
 
     def step(self, q: int, a: str) -> frozenset[int]:
         return self._step.get((q, a), frozenset())
@@ -190,6 +241,25 @@ def is_covered(target, values) -> bool:
         if v != target and v | target == target:
             union |= v
     return union == target
+
+
+def mask_union(values, mask: int) -> int:
+    """OR of ``values[i]`` over the set bits ``i`` of ``mask``."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= values[low.bit_length() - 1]
+        mask ^= low
+    return union
+
+
+def pred_masks(successors, n: int) -> list[int]:
+    """``out[q]``: the mask of the ``p`` with ``successors[p] == q``; ``None`` is no successor."""
+    out = [0] * n
+    for p, q in enumerate(successors):
+        if q is not None:
+            out[q] |= 1 << p
+    return out
 
 
 def least_words(starts, successors):

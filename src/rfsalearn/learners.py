@@ -16,12 +16,10 @@ from .automata import (
     Automaton,
     Word,
     _ResidualOrder,
-    determinize_labeled,
     is_covered,
     least_words,
-    reverse_automaton,
-    reverse_word,
-    trim,
+    mask_union,
+    pred_masks,
 )
 from .tables import (
     ModifiedTable,
@@ -144,6 +142,28 @@ def _residual_order_contexts(auto: Automaton) -> list[Word]:
     return contexts
 
 
+def _completion_contexts(row_auto: Automaton) -> list[Word]:
+    """Reversed least words of the non-coverable subsets of the reversed trimmed row automaton.
+
+    A subset search over int masks of the states of ``row_auto``: it starts
+    at the finals, and a step on ``a`` goes to the ``a``-predecessors.  Every
+    state of a row automaton is reachable, so the states in these subsets
+    reach a final state and are exactly the ones trimming keeps.  The subsets
+    come in breadth-first order, each with its length-lex least word.
+    """
+    n = row_auto.n_states
+    pre = [pred_masks(row, n) for row in row_auto._delta]
+    steps = tuple(zip(row_auto.alphabet, pre))
+
+    def successors(mask):
+        return [(a, mask_union(by_state, mask)) for a, by_state in steps]
+
+    start = sum(1 << q for q in row_auto.final)
+    found = list(least_words((start,), successors))
+    labels = [mask for mask, _ in found]
+    return [w[::-1] for mask, w in found if not is_covered(mask, labels)]
+
+
 def two_step_reversal(session) -> LearnerResult:
     """Learn the reversed language's minimal DFA, then read off the canonical RFSA.
 
@@ -156,14 +176,8 @@ def two_step_reversal(session) -> LearnerResult:
     rev = ReversalTeacher(session)
     first = lstar_col(rev)
     table = first.final_table
-
-    row_auto, _ = derive_dfa_with_reps(table)
-    b = reverse_automaton(trim(row_auto))
-    det, labels = determinize_labeled(b)
-    words = dict(least_words(det.initial, det._arcs))
-    for i, subset in enumerate(labels):
-        if not is_covered(subset, labels):
-            table.add_context(reverse_word(words[i]))
+    for context in _completion_contexts(first.hypothesis):
+        table.add_context(context)
     table.fill(rev)
 
     modified = apply_modifications(table)

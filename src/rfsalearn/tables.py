@@ -18,7 +18,8 @@ from .automata import (
     InputError,
     Word,
     is_covered,
-    useful_states,
+    mask_union,
+    pred_masks,
 )
 
 
@@ -44,9 +45,16 @@ def _least_per_value(words, value) -> dict:
     return least
 
 
-def _column(row_masks: list[int], j: int) -> int:
-    """Column ``j`` as a mask over the rows: bit ``i`` is bit ``j`` of ``row_masks[i]``."""
-    return _pack((m >> j) & 1 for m in row_masks)
+def _transpose(masks: list[int], width: int) -> list[int]:
+    """``width`` masks over ``masks``: bit ``i`` of the ``j``-th is bit ``j`` of ``masks[i]``."""
+    out = [0] * width
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= bit
+            m ^= low
+    return out
 
 
 class ObservationTable:
@@ -108,11 +116,11 @@ class ObservationTable:
                 raise InputError(f"row for {w!r} has wrong width")
             return _pack(bits)
 
-        return cls._build(alphabet, red, contexts, mask_of)
+        return cls._build(alphabet, red, contexts, lambda words: [mask_of(w) for w in words])
 
     @classmethod
-    def _build(cls, alphabet, red, contexts, mask_of):
-        """Complete table over ``red`` and ``contexts``; ``mask_of(w)`` gives each row.
+    def _build(cls, alphabet, red, contexts, rows_of):
+        """Complete table over ``red`` and ``contexts``; ``rows_of(words)`` gives their rows.
 
         Skips the prefix-closure check, so reductions can drop red words.
         """
@@ -125,7 +133,8 @@ class ObservationTable:
         for r in table._red:
             table._extend_blue(r)
         width = len(table._contexts)
-        table._cells = {w: (mask_of(w), width) for w in table.words()}
+        words = table.words()
+        table._cells = {w: (m, width) for w, m in zip(words, rows_of(words))}
         table._pending = {}
         return table
 
@@ -357,8 +366,7 @@ class ObservationTable:
         j = self._context_pos.get(tuple(e))
         if j is None:
             raise InputError(f"context {e!r} not in table")
-        masks = [self._mask(s) for s in self._red]
-        columns = [_column(masks, k) for k in range(len(self._contexts))]
+        columns = _transpose([self._mask(s) for s in self._red], len(self._contexts))
         return is_covered(columns[j], columns)
 
     # ------------------------------------------------------------------ dump
@@ -430,12 +438,12 @@ def derive_dfa(table: ObservationTable) -> Automaton:
 def _restrict(table: ObservationTable, red, positions) -> ObservationTable:
     """Table over ``red`` and the contexts of ``table`` at ``positions``, in that order."""
     contexts = table.contexts
-    return ObservationTable._build(
-        table.alphabet,
-        red,
-        [contexts[j] for j in positions],
-        lambda w: _pack((table._mask(w) >> j) & 1 for j in positions),
-    )
+
+    def rows_of(words):
+        columns = _transpose([table._mask(w) for w in words], len(contexts))
+        return _transpose([columns[j] for j in positions], len(words))
+
+    return ObservationTable._build(table.alphabet, red, [contexts[j] for j in positions], rows_of)
 
 
 def apply_modifications(table: ObservationTable) -> ModifiedTable:
@@ -452,18 +460,20 @@ def apply_modifications(table: ObservationTable) -> ModifiedTable:
 
     row_reps = _least_per_value(table.red, table._mask)
     red1, masks1 = list(row_reps.values()), list(row_reps)
-    cols1 = list(_least_per_value(table.contexts, lambda e: _column(masks1, pos[e])).values())
+    # Columns over red1.  The rows dropped below are 0 in every kept column,
+    # so these masks order the kept columns as masks over red2 would.
+    column = _transpose(masks1, len(table.contexts))
+    cols1 = list(_least_per_value(table.contexts, lambda e: column[pos[e]]).values())
 
     eps_at = pos[EPSILON]
     eps_obs = {s: (m >> eps_at) & 1 for s, m in zip(red1, masks1)}
 
     in_cols1 = sum(1 << pos[e] for e in cols1)
     red2 = [s for s, m in zip(red1, masks1) if m & in_cols1]
-    cols2 = [e for e in cols1 if _column(masks1, pos[e])]
+    cols2 = [e for e in cols1 if column[pos[e]]]
 
-    masks2 = [table._mask(s) for s in red2]
-    columns = {e: _column(masks2, pos[e]) for e in cols2}
-    cols3 = [e for e in cols2 if not is_covered(columns[e], columns.values())]
+    values = [column[pos[e]] for e in cols2]
+    cols3 = [e for e, v in zip(cols2, values) if not is_covered(v, values)]
 
     reduced = _restrict(table, red2, [pos[e] for e in cols3])
     return ModifiedTable(reduced, {s: eps_obs[s] for s in red2})
@@ -502,32 +512,42 @@ def derive_reversal_rfsa(modified: ModifiedTable) -> Automaton:
     columns are those containing the empty word.
     """
     table = modified.table
-    eps_obs = modified.eps_obs
-    reds = list(table.red)
-    inner = modified_row_automaton(modified)
-
-    useful = useful_states(inner)
+    reds = table.red
+    alphabet = table.alphabet
     masks = [table._mask(s) for s in reds]
-    column_sets = [
-        frozenset(i for i, m in enumerate(masks) if (m >> j) & 1) for j in range(len(table.contexts))
-    ]
+    columns = _transpose(masks, len(table.contexts))
+
+    # The row automaton of ``modified_row_automaton`` as masks over the red
+    # rows: pre[k][q] holds the rows whose successor on the k-th symbol is q.
+    value_index = {m: i for i, m in enumerate(masks)}
+    succ = [[value_index.get(table._mask(s + (a,))) for s in reds] for a in alphabet]
+    pre = [pred_masks(row, len(reds)) for row in succ]
+    post = [[0 if q is None else 1 << q for q in row] for row in succ]
+    start = 1 << reds.index(EPSILON) if EPSILON in reds else 0
+    eps = sum(1 << i for i, s in enumerate(reds) if modified.eps_obs.get(s))
+    useful = _reach(start, post) & _reach(eps, pre)
 
     arcs = []
-    for i, q1 in enumerate(column_sets):
-        for a in table.alphabet:
-            pred_union: set[int] = set()
-            for q in q1 & useful:
-                pred_union |= {p for p in inner._preds.get((q, a), ()) if p in useful}
-            for j, q2 in enumerate(column_sets):
-                if q2 <= pred_union:
-                    arcs.append((i, a, j))
+    for i, q1 in enumerate(columns):
+        for a, by_state in zip(alphabet, pre):
+            pred_union = mask_union(by_state, q1 & useful) & useful
+            arcs += [(i, a, j) for j, q2 in enumerate(columns) if not q2 & ~pred_union]
 
-    initial = frozenset(
-        i for i, members in enumerate(column_sets) if all(eps_obs[reds[q]] for q in members)
-    )
-    eps_row = reds.index(EPSILON) if EPSILON in reds else None
-    final = frozenset(i for i, members in enumerate(column_sets) if eps_row in members)
-    return Automaton(table.alphabet, len(column_sets), initial, final, tuple(arcs))
+    initial = frozenset(i for i, m in enumerate(columns) if not m & ~eps)
+    final = frozenset(i for i, m in enumerate(columns) if m & start)
+    return Automaton(alphabet, len(columns), initial, final, tuple(arcs))
+
+
+def _reach(mask: int, steps) -> int:
+    """Bits reachable from ``mask``, where ``steps[k][i]`` is the mask one step from bit ``i``."""
+    seen = frontier = mask
+    while frontier:
+        stepped = 0
+        for by_state in steps:
+            stepped |= mask_union(by_state, frontier)
+        frontier = stepped & ~seen
+        seen |= frontier
+    return seen
 
 
 def derive_rfsa(table: ObservationTable) -> Automaton:

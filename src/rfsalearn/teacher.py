@@ -41,11 +41,13 @@ class TeacherSession:
         self.stats = QueryStats()
         self._cache: dict[Word, int] = {}
         self._rows = None
-        if target.is_deterministic and target.is_total:
-            # A total DFA answers by one successor-array lookup per symbol.
+        # A DFA is total iff it has one entry per state and symbol, and then
+        # it answers by one successor-array lookup per symbol.
+        n, k = target.n_states, len(target.alphabet)
+        if target.is_deterministic and len(target.transitions) == n * k:
             (self._start,) = target.initial
             self._rows = dict(zip(target.alphabet, target._delta))
-            self._accepting = [int(q in target.final) for q in range(target.n_states)]
+            self._accepting = [int(q in target.final) for q in range(n)]
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -102,7 +104,7 @@ class ReversalTeacher:
         return self.base.stats
 
     def mq(self, w: Word) -> int:
-        return self.base.mq(reverse_word(tuple(w)))
+        return self.base.mq(tuple(w)[::-1])
 
     def eq(self, hypothesis: Automaton) -> Word | None:
         witness = self.base.eq(reverse_automaton(hypothesis))

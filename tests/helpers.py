@@ -1,7 +1,10 @@
 """Shared fixtures: small reference automata, random minimal DFAs, table
 builders, a brute-force word enumerator, a per-pair residual-order reference
-that the single-pass kernel is checked against, and a full-rescan observation
-table that the incremental one is checked against."""
+that the single-pass kernel is checked against, a full-rescan observation
+table that the incremental one is checked against, the frozenset pipeline
+that ``rev2step``'s mask-based second step is checked against, and the
+scan-everything normaliser that ``Automaton``'s constructor is checked
+against."""
 import dataclasses
 from collections import deque
 
@@ -10,11 +13,24 @@ from hypothesis import strategies as st
 from rfsalearn.automata import (
     Automaton,
     ContractError,
+    InputError,
+    determinize_labeled,
+    is_covered,
     minimize,
+    reverse_automaton,
+    reverse_word,
     shortest_difference_witness,
+    trim,
+    useful_states,
     word,
 )
-from rfsalearn.tables import ObservationTable
+from rfsalearn.tables import (
+    ModifiedTable,
+    ObservationTable,
+    _least_per_value,
+    derive_dfa_with_reps,
+    modified_row_automaton,
+)
 
 AB = ("a", "b")
 
@@ -275,3 +291,134 @@ class RecordingTeacher:
     def mq(self, w):
         self.asked.append(w)
         return int(self.target.accepts(w))
+
+
+# ------------------------------------------------- rev2step second-step reference
+#
+# The frozenset pipeline that the mask-based second step is checked against:
+# completion by trim, reversal and the labelled subset construction;
+# reduction by packing one column at a time; derivation over per-column
+# frozensets and the (trimmed) row automaton.
+
+
+def reference_completion_contexts(table):
+    """Contexts the completion adds to a finished first-step table, in order."""
+    row_auto, _ = derive_dfa_with_reps(table)
+    det, labels = determinize_labeled(reverse_automaton(trim(row_auto)))
+    # The labels come in breadth-first order, so one pass over them in that
+    # order gives every label its least word.
+    words = {0: ()}
+    for i in range(len(labels)):
+        for a in det.alphabet:
+            (j,) = det.step(i, a)
+            words.setdefault(j, words[i] + (a,))
+    return [
+        reverse_word(words[i]) for i, subset in enumerate(labels) if not is_covered(subset, labels)
+    ]
+
+
+def _reference_pack(bits):
+    return sum(1 << i for i, bit in enumerate(bits) if bit)
+
+
+def _reference_column(masks, j):
+    return _reference_pack((m >> j) & 1 for m in masks)
+
+
+def reference_apply_modifications(table):
+    """``apply_modifications``, one column and one cell at a time."""
+    pos = {e: j for j, e in enumerate(table.contexts)}
+    row_reps = _least_per_value(table.red, table._mask)
+    red1, masks1 = list(row_reps.values()), list(row_reps)
+    cols1 = list(
+        _least_per_value(table.contexts, lambda e: _reference_column(masks1, pos[e])).values()
+    )
+    eps_obs = {s: (m >> pos[()]) & 1 for s, m in zip(red1, masks1)}
+    in_cols1 = sum(1 << pos[e] for e in cols1)
+    red2 = [s for s, m in zip(red1, masks1) if m & in_cols1]
+    cols2 = [e for e in cols1 if _reference_column(masks1, pos[e])]
+    masks2 = [table._mask(s) for s in red2]
+    columns = {e: _reference_column(masks2, pos[e]) for e in cols2}
+    cols3 = [e for e in cols2 if not is_covered(columns[e], columns.values())]
+    kept = [pos[e] for e in cols3]
+    reduced = ObservationTable._build(
+        table.alphabet,
+        red2,
+        cols3,
+        lambda words: [_reference_pack((table._mask(w) >> j) & 1 for j in kept) for w in words],
+    )
+    return ModifiedTable(reduced, {s: eps_obs[s] for s in red2})
+
+
+def reference_derive_reversal_rfsa(modified):
+    """``derive_reversal_rfsa`` over per-column frozensets of red-row indices."""
+    table = modified.table
+    eps_obs = modified.eps_obs
+    reds = list(table.red)
+    inner = modified_row_automaton(modified)
+    useful = useful_states(inner)
+    masks = [table._mask(s) for s in reds]
+    column_sets = [
+        frozenset(i for i, m in enumerate(masks) if (m >> j) & 1) for j in range(len(table.contexts))
+    ]
+    arcs = []
+    for i, q1 in enumerate(column_sets):
+        for a in table.alphabet:
+            pred_union = set()
+            for q in q1 & useful:
+                pred_union |= {p for p in inner._preds.get((q, a), ()) if p in useful}
+            for j, q2 in enumerate(column_sets):
+                if q2 <= pred_union:
+                    arcs.append((i, a, j))
+    initial = frozenset(
+        i for i, members in enumerate(column_sets) if all(eps_obs[reds[q]] for q in members)
+    )
+    eps_row = reds.index(()) if () in reds else None
+    final = frozenset(i for i, members in enumerate(column_sets) if eps_row in members)
+    return Automaton(table.alphabet, len(column_sets), initial, final, tuple(arcs))
+
+
+# ------------------------------------------------ automaton constructor reference
+
+
+def reference_normalise(alphabet, n_states, initial, final, transitions):
+    """``Automaton``'s fields as the scan-everything constructor normalised them.
+
+    Returns ``(alphabet, initial, final, transitions)`` or raises the
+    ``InputError`` that constructor raised.
+    """
+    symbols = tuple(alphabet)
+    if len(set(symbols)) != len(symbols):
+        raise InputError("duplicate alphabet symbol")
+    for sym in symbols:
+        if not sym or any(ch.isspace() for ch in sym) or sym.startswith("#"):
+            raise InputError(f"bad alphabet symbol {sym!r}")
+    symbols = tuple(sorted(symbols))
+    order = {a: i for i, a in enumerate(symbols)}
+    n = n_states
+    if n < 0:
+        raise InputError("negative state count")
+
+    def check_state(q):
+        if not isinstance(q, int) or not 0 <= q < n:
+            raise InputError(f"state id {q!r} out of range 0..{n - 1}")
+        return q
+
+    initial = frozenset(check_state(q) for q in initial)
+    final = frozenset(check_state(q) for q in final)
+    grouped = {}
+    for entry in transitions:
+        q, a, rest = entry[0], entry[1], entry[2]
+        check_state(q)
+        if a not in order:
+            raise InputError(f"symbol {a!r} not in alphabet")
+        targets = rest if isinstance(rest, (set, frozenset)) else {rest}
+        for r in targets:
+            check_state(r)
+        grouped.setdefault((q, a), set()).update(targets)
+    normal = tuple(
+        (q, a, frozenset(ts))
+        for (q, a), ts in sorted(grouped.items(), key=lambda kv: (kv[0][0], order[kv[0][1]]))
+        if ts
+    )
+    return symbols, initial, final, normal

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import AB, empty_lang, ends_a, even_a, starts_a, universal_lang
+from helpers import AB, empty_lang, ends_a, even_a, nfa_ends_a, starts_a, universal_lang
 from rfsalearn.automata import Automaton, InputError, word
 from rfsalearn.residuals import c_of_b
 from rfsalearn.teacher import ReversalTeacher, TeacherSession
@@ -87,6 +87,16 @@ def test_mq_foreign_symbol_on_dense_path():
         assert session.stats.mq_total == session.stats.mq_distinct == 0
 
 
+def test_dense_path_only_for_total_dfas():
+    # One entry per state and symbol makes a DFA total; an NFA with as many
+    # entries, or a DFA with one arc missing, keeps ``accepts``.
+    nfa = Automaton(AB, 2, {0}, {1}, [(0, "a", {0, 1}), (0, "b", 0), (1, "a", 1), (1, "b", 1)])
+    partial = Automaton(AB, 2, {0}, {1}, [(0, "a", 1), (0, "b", 0), (1, "a", 1)])
+    assert TeacherSession(even_a())._rows is not None
+    for target in (nfa, partial, nfa_ends_a()):
+        assert TeacherSession(target)._rows is None
+
+
 def test_eq_on_correct_hypothesis():
     session = TeacherSession(even_a())
     renumbered = Automaton(
@@ -152,6 +162,23 @@ def test_double_reversal_equals_base():
     for text in ("", "a", "b", "ab", "ba", "bab"):
         assert twice.mq(word(text)) == probe.mq(word(text))
     assert twice.eq(ends_a()) is None
+
+
+def test_reversal_view_reverses_any_word_sequence():
+    session = TeacherSession(starts_a())
+    view = ReversalTeacher(session)
+    assert view.mq(["b", "a"]) == view.mq("ba") == view.mq(word("ba")) == 1
+    assert session.stats.mq_total == 3 and session.stats.mq_distinct == 1
+
+
+def test_reversal_view_foreign_symbol_counts_nothing():
+    for target in (even_a(), nfa_ends_a()):  # the dense path and ``accepts``
+        session = TeacherSession(target)
+        view = ReversalTeacher(session)
+        for w in (("z",), ("a", "z"), ("z", "b", "a")):
+            with pytest.raises(InputError, match="not in alphabet"):
+                view.mq(w)
+        assert session.stats.mq_total == session.stats.mq_distinct == 0
 
 
 def test_counters_accrue_to_underlying_session():
