@@ -400,19 +400,50 @@ def shortest_difference_witness(a: Automaton, b: Automaton) -> Word | None:
     """
     if a.alphabet != b.alphabet:
         raise InputError("alphabet mismatch")
+    return least_difference(a.alphabet, _forward_side(a), _forward_side(b))
 
-    alphabet, final_a, final_b = a.alphabet, a.final, b.final
-    step_a, step_b = a._successors, b._successors
+
+def least_difference(alphabet, side_a, side_b) -> Word | None:
+    """Length-lexicographically least word on which two subset walks disagree.
+
+    Each side is ``(start, finals, step)``: ``step(state, symbol)`` is the
+    state after one symbol, and a state accepts iff ``state & finals`` is
+    non-empty, so states may be frozensets or int masks.  The pairs are
+    searched breadth-first and only the pairs reached are built.
+    """
+    (start_a, final_a, step_a), (start_b, final_b, step_b) = side_a, side_b
 
     def successors(pair):
         sa, sb = pair
         return [(sym, (step_a(sa, sym), step_b(sb, sym))) for sym in alphabet]
 
-    start = (frozenset(a.initial), frozenset(b.initial))
-    for (sa, sb), w in least_words((start,), successors):
+    for (sa, sb), w in least_words(((start_a, start_b),), successors):
         if bool(sa & final_a) != bool(sb & final_b):
             return w
     return None
+
+
+def _forward_side(a: Automaton):
+    """``a`` as a side of :func:`least_difference`, on frozensets of states."""
+    return frozenset(a.initial), a.final, a._successors
+
+
+def _reversed_side(a: Automaton):
+    """The reversal of ``a`` as a side of :func:`least_difference`, on int masks.
+
+    It starts at the finals of ``a``, accepts at its initial states and steps
+    to the predecessors, so no reversed automaton is built; ``a`` may be
+    nondeterministic or partial.
+    """
+    # pre[sym][r]: the mask of the states with a ``sym``-arc into r.
+    pre = {sym: [0] * a.n_states for sym in a.alphabet}
+    for q, sym, targets in a.transitions:
+        row, bit = pre[sym], 1 << q
+        for r in targets:
+            row[r] |= bit
+    start = sum(1 << q for q in a.final)
+    finals = sum(1 << q for q in a.initial)
+    return start, finals, lambda mask, sym: mask_union(pre[sym], mask)
 
 
 class _ResidualOrder:

@@ -111,13 +111,23 @@ def lang_file_name(k: int) -> str:
     return f"lang_{k:03d}.aut"
 
 
+def _language_columns(target: Automaton) -> tuple[int, int]:
+    """The ``index`` and ``primes`` columns: states of the minimal DFA and prime residuals."""
+    mindfa = minimize(determinize(target))
+    index = residual_index(mindfa)
+    return mindfa.n_states, sum(is_prime(index, q) for q in range(mindfa.n_states))
+
+
 def run_benchmark_record(
     language_id: str, target: Automaton, alg: str
 ) -> tuple[BenchRecord, Automaton | None]:
     """One learning run with post-hoc correctness verified by a fresh witness check."""
-    mindfa = minimize(determinize(target))
-    index = residual_index(mindfa)
-    primes = sum(is_prime(index, q) for q in range(mindfa.n_states))
+    return _learning_record(language_id, target, alg, *_language_columns(target))
+
+
+def _learning_record(
+    language_id: str, target: Automaton, alg: str, index: int, primes: int
+) -> tuple[BenchRecord, Automaton | None]:
     session = TeacherSession(target)
     begin = time.perf_counter()
     correct = 0
@@ -135,7 +145,7 @@ def run_benchmark_record(
     record = BenchRecord(
         language_id,
         alg,
-        mindfa.n_states,
+        index,
         primes,
         hyp_states,
         stats.mq_total,
@@ -148,11 +158,12 @@ def run_benchmark_record(
     return record, hypothesis
 
 
-def _bench_worker(job: tuple[str, str, str]) -> BenchRecord:
-    language_id, path, alg = job
+def _bench_worker(job: tuple[str, str, list[str]]) -> list[BenchRecord]:
+    """Every learner's record on one language, which is parsed and indexed once."""
+    language_id, path, algs = job
     target = parse_automaton(Path(path).read_text(encoding="utf-8"))
-    record, _ = run_benchmark_record(language_id, target, alg)
-    return record
+    columns = _language_columns(target)
+    return [_learning_record(language_id, target, alg, *columns)[0] for alg in algs]
 
 
 def _usable_cpu_count() -> int:
@@ -211,12 +222,13 @@ def cmd_bench(args) -> int:
     if not files:
         print(f"no .aut files in {corpus_dir}", file=sys.stderr)
         return 3
-    jobs = [(path.stem, str(path), alg) for path in files for alg in sorted(algs)]
+    jobs = [(path.stem, str(path), sorted(algs)) for path in files]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_bench_worker, jobs))
+            batches = list(pool.map(_bench_worker, jobs))
     else:
-        records = [_bench_worker(job) for job in jobs]
+        batches = [_bench_worker(job) for job in jobs]
+    records = [record for batch in batches for record in batch]
     records.sort(key=lambda record: (record.language_id, record.alg))
     out = BENCH_HEADER + "\n" + "\n".join(record.csv_row() for record in records) + "\n"
     if args.out:

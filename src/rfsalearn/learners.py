@@ -16,10 +16,9 @@ from .automata import (
     Automaton,
     Word,
     _ResidualOrder,
+    _reversed_side,
     is_covered,
     least_words,
-    mask_union,
-    pred_masks,
 )
 from .tables import (
     ModifiedTable,
@@ -145,20 +144,18 @@ def _residual_order_contexts(auto: Automaton) -> list[Word]:
 def _completion_contexts(row_auto: Automaton) -> list[Word]:
     """Reversed least words of the non-coverable subsets of the reversed trimmed row automaton.
 
-    A subset search over int masks of the states of ``row_auto``: it starts
-    at the finals, and a step on ``a`` goes to the ``a``-predecessors.  Every
-    state of a row automaton is reachable, so the states in these subsets
-    reach a final state and are exactly the ones trimming keeps.  The subsets
-    come in breadth-first order, each with its length-lex least word.
+    A subset search over int masks of the states of ``row_auto``, on its
+    reversed side: it starts at the finals, and a step on ``a`` goes to the
+    ``a``-predecessors.  Every state of a row automaton is reachable, so the
+    states in these subsets reach a final state and are exactly the ones
+    trimming keeps.  The subsets come in breadth-first order, each with its
+    length-lex least word.
     """
-    n = row_auto.n_states
-    pre = [pred_masks(row, n) for row in row_auto._delta]
-    steps = tuple(zip(row_auto.alphabet, pre))
+    start, _, step = _reversed_side(row_auto)
 
     def successors(mask):
-        return [(a, mask_union(by_state, mask)) for a, by_state in steps]
+        return [(a, step(mask, a)) for a in row_auto.alphabet]
 
-    start = sum(1 << q for q in row_auto.final)
     found = list(least_words((start,), successors))
     labels = [mask for mask, _ in found]
     return [w[::-1] for mask, w in found if not is_covered(mask, labels)]

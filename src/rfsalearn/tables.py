@@ -46,15 +46,17 @@ def _least_per_value(words, value) -> dict:
 
 
 def _transpose(masks: list[int], width: int) -> list[int]:
-    """``width`` masks over ``masks``: bit ``i`` of the ``j``-th is bit ``j`` of ``masks[i]``."""
-    out = [0] * width
-    for i, m in enumerate(masks):
-        bit = 1 << i
-        while m:
-            low = m & -m
-            out[low.bit_length() - 1] |= bit
-            m ^= low
-    return out
+    """``width`` masks over ``masks``: bit ``i`` of the ``j``-th is bit ``j`` of ``masks[i]``.
+
+    Each mask becomes a ``width``-digit binary string, last mask first, so
+    that ``zip`` hands out the columns as big-endian strings, highest
+    context first.
+    """
+    if not masks or not width:
+        return [0] * width
+    digits = f"0{width}b"
+    rows = [format(m, digits) for m in reversed(masks)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
 class ObservationTable:
@@ -399,7 +401,7 @@ class ModifiedTable:
 
 
 def _check_derivable(table: ObservationTable):
-    if EPSILON not in table.contexts:
+    if EPSILON not in table._context_pos:
         raise ContractError("the empty context is required")
     if table.is_closed() is not None:
         raise ContractError("table is not closed")
@@ -410,23 +412,22 @@ def _check_derivable(table: ObservationTable):
 def derive_dfa_with_reps(table: ObservationTable) -> tuple[Automaton, tuple[Word, ...]]:
     """Automaton of a closed and consistent table plus one red word per state."""
     _check_derivable(table)
-    if EPSILON not in set(table.red):
+    if EPSILON not in table._red_set:
         raise ContractError("red must contain the empty word")
-    reps: list[Word] = []
+    # A closed table has no unset cell, so each cell's mask is its full row.
+    cells = table._cells
     index: dict[int, int] = {}
-    for s in table.red:
-        value = table._mask(s)
+    reps: list[Word] = []
+    for s in table._red:
+        value = cells[s][0]
         if value not in index:
             index[value] = len(reps)
             reps.append(s)
-    eps_at = table._context_pos[EPSILON]
-    arcs = []
-    for i, s in enumerate(reps):
-        for a in table.alphabet:
-            arcs.append((i, a, index[table._mask(s + (a,))]))
-    finals = frozenset(i for i, s in enumerate(reps) if (table._mask(s) >> eps_at) & 1)
-    initial = frozenset({index[table._mask(EPSILON)]})
-    auto = Automaton(table.alphabet, len(reps), initial, finals, tuple(arcs))
+    arcs = [(i, a, index[cells[s + (a,)][0]]) for i, s in enumerate(reps) for a in table._alphabet]
+    eps_bit = 1 << table._context_pos[EPSILON]
+    finals = frozenset(i for value, i in index.items() if value & eps_bit)
+    initial = frozenset({index[cells[EPSILON][0]]})
+    auto = Automaton(table._alphabet, len(reps), initial, finals, tuple(arcs))
     return auto, tuple(reps)
 
 

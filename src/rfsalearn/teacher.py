@@ -8,7 +8,9 @@ from .automata import (
     Automaton,
     InputError,
     Word,
-    reverse_automaton,
+    _forward_side,
+    _reversed_side,
+    least_difference,
     reverse_word,
     shortest_difference_witness,
 )
@@ -76,7 +78,17 @@ class TeacherSession:
     def eq(self, hypothesis: Automaton) -> Word | None:
         """None when the hypothesis matches the target, else the least counterexample."""
         self.stats.eq_count += 1
-        witness = shortest_difference_witness(hypothesis, self.target)
+        return self._longest(shortest_difference_witness(hypothesis, self.target))
+
+    def _eq_reversed(self, hypothesis: Automaton) -> Word | None:
+        """``eq`` of the reversal of ``hypothesis``, counted alike; no reversed automaton is built."""
+        self.stats.eq_count += 1
+        if hypothesis.alphabet != self.target.alphabet:
+            raise InputError("alphabet mismatch")
+        sides = _reversed_side(hypothesis), _forward_side(self.target)
+        return self._longest(least_difference(self.alphabet, *sides))
+
+    def _longest(self, witness: Word | None) -> Word | None:
         if witness is not None:
             self.stats.longest_counterexample = max(
                 self.stats.longest_counterexample, len(witness)
@@ -87,9 +99,10 @@ class TeacherSession:
 class ReversalTeacher:
     """View of a session that teaches the reversal of the underlying language.
 
-    Words and automata are reversed on the way in, counterexamples on the way
-    out; all counters accrue to the wrapped session.  Wrapping twice behaves
-    like the plain session.
+    Words are reversed on the way in and counterexamples on the way out; a
+    hypothesis is not reversed but walked backwards by the wrapped session's
+    ``_eq_reversed``.  All counters accrue to the wrapped session.  Wrapping
+    twice behaves like the plain session.
     """
 
     def __init__(self, base):
@@ -107,5 +120,10 @@ class ReversalTeacher:
         return self.base.mq(tuple(w)[::-1])
 
     def eq(self, hypothesis: Automaton) -> Word | None:
-        witness = self.base.eq(reverse_automaton(hypothesis))
+        witness = self.base._eq_reversed(hypothesis)
+        return None if witness is None else reverse_word(witness)
+
+    def _eq_reversed(self, hypothesis: Automaton) -> Word | None:
+        # The reversal of the reversal is the hypothesis itself.
+        witness = self.base.eq(hypothesis)
         return None if witness is None else reverse_word(witness)

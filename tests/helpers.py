@@ -2,9 +2,11 @@
 builders, a brute-force word enumerator, a per-pair residual-order reference
 that the single-pass kernel is checked against, a full-rescan observation
 table that the incremental one is checked against, the frozenset pipeline
-that ``rev2step``'s mask-based second step is checked against, and the
+that ``rev2step``'s mask-based second step is checked against, the
 scan-everything normaliser that ``Automaton``'s constructor is checked
-against."""
+against, and the reversed-automaton equivalence query and bit-loop
+transpose that the teacher's backward walk and ``tables._transpose`` are
+checked against."""
 import dataclasses
 from collections import deque
 
@@ -422,3 +424,28 @@ def reference_normalise(alphabet, n_states, initial, final, transitions):
         if ts
     )
     return symbols, initial, final, normal
+
+
+# --------------------------------------- reversal equivalence and transpose references
+
+
+def reference_reversed_eq(session, hypothesis):
+    """The reversal view's equivalence query built the plain way.
+
+    The hypothesis is reversed into an NFA and the session's ``eq`` walks its
+    subsets against the target; the counterexample is reversed back.
+    """
+    witness = session.eq(reverse_automaton(hypothesis))
+    return None if witness is None else reverse_word(witness)
+
+
+def reference_transpose(masks, width):
+    """``tables._transpose`` one set bit at a time."""
+    out = [0] * width
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= bit
+            m ^= low
+    return out

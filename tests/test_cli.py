@@ -215,3 +215,25 @@ def test_bench_jobs_capped_at_usable_cpus(tmp_path, monkeypatch, has_affinity):
     out = tmp_path / "report.csv"
     assert main(["bench", str(corpus), "--algs", "lstar", "--jobs", "2", "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 3
+
+
+def test_bench_indexes_each_language_once(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    main(["gen-corpus", str(corpus), "--n", "3", "--max-states", "5", "--seed", "17"])
+    # The expected rows come one record at a time, each with its own index.
+    expected = [BENCH_HEADER]
+    for path in sorted(corpus.glob("*.aut")):
+        target = parse_automaton(path.read_text(encoding="utf-8"))
+        for alg in sorted(cli.ALGORITHMS):
+            expected.append(cli.run_benchmark_record(path.stem, target, alg)[0].csv_row())
+    strip = lambda rows: [row.rsplit(",", 1)[0] for row in rows]
+
+    indexed = []
+    real_index = cli.residual_index
+    monkeypatch.setattr(cli, "residual_index", lambda dfa: indexed.append(dfa) or real_index(dfa))
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["bench", str(corpus), "--jobs", jobs, "--out", str(out)]) == 0
+        assert strip(out.read_text(encoding="utf-8").splitlines()) == strip(expected)
+        if jobs == "1":
+            assert len(indexed) == 3

@@ -12,6 +12,7 @@ from helpers import (
     all_words,
     ends_a,
     even_a,
+    reference_transpose,
     table_for,
     table_from_bits,
     third_from_end_a,
@@ -22,9 +23,11 @@ from rfsalearn.learners import lstar_col
 from rfsalearn.tables import (
     ObservationTable,
     _least_per_value,
+    _transpose,
     apply_modifications,
     derive_rfsa,
     derive_dfa,
+    derive_dfa_with_reps,
     drop_zero_rows_and_columns,
 )
 from rfsalearn.teacher import TeacherSession
@@ -382,6 +385,68 @@ def test_derive_dfa_requires_closed():
 def test_derive_dfa_even_a_matches_minimal():
     t = table_for(even_a(), ["", "a"], [""])
     assert isomorphic(minimize(derive_dfa(t)), minimize(even_a()))
+
+
+def test_derive_dfa_with_reps_needs_the_empty_context_first():
+    # Neither closed nor holding the empty context: the context check comes first.
+    t = table_for(ends_a(), [""], ["a"])
+    with pytest.raises(ContractError, match="^the empty context is required$"):
+        derive_dfa_with_reps(t)
+
+
+def test_derive_dfa_with_reps_needs_a_closed_table():
+    with pytest.raises(ContractError, match="^table is not closed$"):
+        derive_dfa_with_reps(table_for(ends_a(), [""], [""]))
+    # Closedness is checked before RED is asked for ε.
+    t = ObservationTable._build(AB, [word("a")], [()], lambda words: [int(w == word("aa")) for w in words])
+    with pytest.raises(ContractError, match="^table is not closed$"):
+        derive_dfa_with_reps(t)
+
+
+def test_derive_dfa_with_reps_needs_a_consistent_table():
+    # Closed, but ε and a share a row while their a-successors a and aa do not.
+    t = table_from_bits(["", "a", "aa"], [""], [[0], [0], [1]])
+    assert t.is_closed() is None
+    with pytest.raises(ContractError, match="^table is not consistent$"):
+        derive_dfa_with_reps(t)
+
+
+def test_derive_dfa_with_reps_needs_the_empty_word_red():
+    # Closed and consistent, but RED lacks ε (a reduction may drop it).
+    t = ObservationTable._build(AB, [word("a")], [()], lambda words: [0] * len(words))
+    assert t.is_closed() is None and t.is_consistent() is None
+    with pytest.raises(ContractError, match="^red must contain the empty word$"):
+        derive_dfa_with_reps(t)
+
+
+@st.composite
+def mask_tables(draw):
+    width = draw(st.integers(0, 12))
+    masks = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+    return masks, width
+
+
+@given(mask_tables())
+@settings(max_examples=300, deadline=None)
+def test_transpose_matches_bit_loop_reference(example):
+    masks, width = example
+    columns = _transpose(masks, width)
+    assert columns == reference_transpose(masks, width)
+    assert _transpose(columns, len(masks)) == masks
+
+
+def test_transpose_edge_shapes():
+    assert _transpose([], 0) == []
+    assert _transpose([0, 0, 0], 0) == []
+    assert _transpose([], 3) == [0, 0, 0]
+    assert _transpose([0b101], 3) == [1, 0, 1]
+    assert _transpose([0b101], 5) == [1, 0, 1, 0, 0]
+    for n in range(1, 9):
+        # Every mask of width n, once each: 2^n rows.
+        masks = list(range(1 << n))
+        columns = _transpose(masks, n)
+        assert columns == reference_transpose(masks, n)
+        assert _transpose(columns, len(masks)) == masks
 
 
 # -------------------------------------------------------------- modifications

@@ -1,11 +1,33 @@
+import sys
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import AB, empty_lang, ends_a, even_a, nfa_ends_a, starts_a, universal_lang
-from rfsalearn.automata import Automaton, InputError, word
+from helpers import (
+    AB,
+    empty_lang,
+    ends_a,
+    even_a,
+    nfa_ends_a,
+    nth_from_end_nfa,
+    reference_reversed_eq,
+    starts_a,
+    universal_lang,
+)
+from rfsalearn import learners
+from rfsalearn.automata import (
+    Automaton,
+    InputError,
+    determinize,
+    minimize,
+    reverse_automaton,
+    reverse_word,
+    shortest_difference_witness,
+    word,
+)
 from rfsalearn.residuals import c_of_b
 from rfsalearn.teacher import ReversalTeacher, TeacherSession
 
@@ -206,3 +228,88 @@ def test_eq_absent_iff_canonical_forms_isomorphic():
             minimize(determinize(hypothesis)), minimize(determinize(target))
         )
         assert absent == same
+
+
+@st.composite
+def automata_over(draw, alphabet):
+    """A total DFA, a partial DFA or an NFA over ``alphabet``; an NFA may have no
+    initial state, and any kind may have no final state."""
+    kind = draw(st.sampled_from(["total", "partial", "nfa"]))
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    lo, hi = {"total": (1, 1), "partial": (0, 1), "nfa": (0, 2)}[kind]
+    arcs = [(q, a, draw(st.sets(state, min_size=lo, max_size=hi))) for q in range(n) for a in alphabet]
+    initial = draw(st.sets(state, max_size=2)) if kind == "nfa" else {0}
+    return Automaton(alphabet, n, initial, draw(st.sets(state)), arcs)
+
+
+@st.composite
+def eq_rounds(draw):
+    """A target and a few hypotheses over the same 1-3 letters."""
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    target = draw(automata_over(alphabet))
+    return target, draw(st.lists(automata_over(alphabet), min_size=1, max_size=3))
+
+
+@given(eq_rounds())
+@settings(max_examples=300, deadline=None)
+def test_reversed_eq_matches_reversed_automaton_reference(example):
+    target, hypotheses = example
+    session, reference = TeacherSession(target), TeacherSession(target)
+    view = ReversalTeacher(session)
+    for hypothesis in hypotheses:
+        assert view.eq(hypothesis) == reference_reversed_eq(reference, hypothesis)
+        assert session.stats == reference.stats
+    # Wrapped twice the view is the plain session again, and the view's own
+    # backward walk is the session's forward one.
+    twice = ReversalTeacher(ReversalTeacher(TeacherSession(target)))
+    for hypothesis in hypotheses:
+        expected = shortest_difference_witness(hypothesis, target)
+        assert twice.eq(hypothesis) == expected
+        assert view._eq_reversed(hypothesis) == (None if expected is None else reverse_word(expected))
+
+
+def test_reversed_eq_alphabet_mismatch_counts_like_reference():
+    other = Automaton(("a", "c"), 1, {0}, {0}, [(0, "a", 0), (0, "c", 0)])
+    session, reference = TeacherSession(ends_a()), TeacherSession(ends_a())
+    with pytest.raises(InputError, match="alphabet mismatch"):
+        ReversalTeacher(session).eq(other)
+    with pytest.raises(InputError, match="alphabet mismatch"):
+        reference_reversed_eq(reference, other)
+    assert session.stats == reference.stats
+
+
+def _refuse_reversal(a):
+    raise AssertionError("rev2step built a reversed automaton")
+
+
+def test_rev2step_builds_no_reversed_automaton(corpus):
+    targets = list(corpus[:40])
+    targets += [minimize(determinize(reverse_automaton(nth_from_end_nfa(n)))) for n in (3, 6)]
+    with ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rfsalearn") and hasattr(module, "reverse_automaton"):
+                stack.enter_context(mock.patch.object(module, "reverse_automaton", _refuse_reversal))
+        hypotheses = [learners.two_step_reversal(TeacherSession(t)).hypothesis for t in targets]
+    for target, hypothesis in zip(targets, hypotheses):
+        assert shortest_difference_witness(hypothesis, target) is None
+
+
+def test_rev2step_counterexamples_match_reference_on_corpus(corpus, monkeypatch):
+    """Every corpus rev2step run gets the reference's counterexamples, in order."""
+    view_eq = ReversalTeacher.eq
+
+    def checked_eq(view, hypothesis):
+        witness = view_eq(view, hypothesis)
+        rounds.append((witness, reference_reversed_eq(reference, hypothesis)))
+        return witness
+
+    monkeypatch.setattr(ReversalTeacher, "eq", checked_eq)
+    for target in corpus:
+        rounds = []
+        session, reference = TeacherSession(target), TeacherSession(target)
+        learners.two_step_reversal(session)
+        got, expected = zip(*rounds)
+        assert got == expected
+        assert session.stats.eq_count == reference.stats.eq_count == len(rounds)
+        assert session.stats.longest_counterexample == reference.stats.longest_counterexample
