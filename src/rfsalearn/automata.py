@@ -167,8 +167,7 @@ class Automaton:
         self._check_word(w)
         current = frozenset(sources)
         for q in current:
-            if not 0 <= q < self.n_states:
-                raise InputError(f"state id {q!r} out of range")
+            _check_state(q, self.n_states)
         for a in w:
             current = self._successors(current, a)
         return current

@@ -1,8 +1,9 @@
 """The four table-based learners.
 
-``lstar_col`` and ``nlstar`` are the incremental algorithms: grow the table
-until its closedness/consistency conditions hold, submit the derived machine,
-and on a counterexample add all of its suffixes as contexts.  The two-step
+``lstar_col`` and ``nlstar`` are the incremental algorithms, one loop with
+two sets of conditions: grow the table until its closedness/consistency
+conditions hold, submit the derived machine, and on a counterexample add all
+of its suffixes as contexts.  The two-step
 learners run ``lstar_col`` first (against the reversed language for
 ``two_step_reversal``), complete the finished table with a few membership
 queries, and then read the answer off the table without further equivalence
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 from .automata import (
     Automaton,
+    ContractError,
     Word,
     _ResidualOrder,
     _reversed_side,
@@ -26,7 +28,6 @@ from .tables import (
     apply_modifications,
     derive_rfsa,
     derive_dfa,
-    derive_dfa_with_reps,
     derive_reversal_rfsa,
     drop_zero_rows_and_columns,
 )
@@ -45,79 +46,48 @@ class LearnerResult:
     iterations: int
 
 
-def _add_suffixes(table: ObservationTable, counterexample: Word):
-    for i in range(len(counterexample), -1, -1):
-        table.add_context(counterexample[i:])
+# Table fixes plus equivalence rounds a table loop takes before it gives up.
+_STEP_CAP = 4**10
+
+
+def _table_loop(teacher, closed, consistent, derive) -> LearnerResult:
+    """Fix the table until ``closed`` and ``consistent`` return None, then submit ``derive(table)``.
+
+    ``closed`` returns a blue word to promote and ``consistent`` a context to
+    add.  Each table fix and each equivalence query is one step; a loop that
+    would take more than ``_STEP_CAP`` steps raises :class:`DiagnosticError`.
+    """
+    table = ObservationTable(teacher.alphabet)
+    table.fill(teacher)
+    rounds = 0
+    for _ in range(_STEP_CAP):
+        violator = closed(table)
+        if violator is not None:
+            table.add_red(violator)
+        elif (fix := consistent(table)) is not None:
+            table.add_context(fix)
+        else:
+            hypothesis = derive(table)
+            rounds += 1
+            counterexample = teacher.eq(hypothesis)
+            if counterexample is None:
+                return LearnerResult(hypothesis, table, teacher.stats.snapshot(), rounds)
+            for i in range(len(counterexample), -1, -1):  # every suffix, shortest first
+                table.add_context(counterexample[i:])
+        table.fill(teacher)
+    raise DiagnosticError(f"no fixpoint after {_STEP_CAP} steps")
 
 
 def lstar_col(teacher) -> LearnerResult:
     """Column-based learner for the minimal DFA; counterexample suffixes become contexts."""
-    table = ObservationTable(teacher.alphabet)
-    table.fill(teacher)
-    rounds = 0
-    while True:
-        while True:
-            violator = table.is_closed()
-            if violator is not None:
-                table.add_red(violator)
-                table.fill(teacher)
-                continue
-            fix = table.is_consistent()
-            if fix is not None:
-                table.add_context(fix)
-                table.fill(teacher)
-                continue
-            break
-        hypothesis = derive_dfa(table)
-        rounds += 1
-        counterexample = teacher.eq(hypothesis)
-        if counterexample is None:
-            return LearnerResult(hypothesis, table, teacher.stats.snapshot(), rounds)
-        _add_suffixes(table, counterexample)
-        table.fill(teacher)
+    return _table_loop(teacher, ObservationTable.is_closed, ObservationTable.is_consistent, derive_dfa)
 
 
-def nlstar(teacher, iteration_cap: int | None = None) -> LearnerResult:
-    """Direct learner for the canonical RFSA via the weakened table conditions.
-
-    ``iteration_cap`` bounds the total number of table fixes plus equivalence
-    rounds; exceeding it raises :class:`DiagnosticError` instead of looping.
-    """
-    cap = iteration_cap if iteration_cap is not None else 4**10
-    table = ObservationTable(teacher.alphabet)
-    table.fill(teacher)
-    rounds = 0
-    steps = 0
-
-    def tick():
-        nonlocal steps
-        steps += 1
-        if steps > cap:
-            raise DiagnosticError(f"no fixpoint after {cap} steps")
-
-    while True:
-        while True:
-            violator = table.is_rfsa_closed()
-            if violator is not None:
-                tick()
-                table.add_red(violator)
-                table.fill(teacher)
-                continue
-            fix = table.is_rfsa_consistent()
-            if fix is not None:
-                tick()
-                table.add_context(fix)
-                table.fill(teacher)
-                continue
-            break
-        hypothesis = derive_rfsa(table)
-        rounds += 1
-        tick()
-        counterexample = teacher.eq(hypothesis)
-        if counterexample is None:
-            return LearnerResult(hypothesis, table, teacher.stats.snapshot(), rounds)
-        _add_suffixes(table, counterexample)
-        table.fill(teacher)
+def nlstar(teacher) -> LearnerResult:
+    """Direct learner for the canonical RFSA via the weakened table conditions."""
+    return _table_loop(
+        teacher, ObservationTable.is_rfsa_closed, ObservationTable.is_rfsa_consistent, derive_rfsa
+    )
 
 
 def _residual_order_contexts(auto: Automaton) -> list[Word]:
@@ -185,20 +155,19 @@ def two_step_reversal(session) -> LearnerResult:
 def two_step_prime_contexts(teacher) -> LearnerResult:
     """Learn the minimal DFA directly, then pin every accepting state with a context.
 
-    For every red word and every accepting state of the row automaton, the
-    shortest word leading there becomes a context (unreachable pairs are
-    skipped, duplicates are no-ops).  After filling those cells the table is
-    reduced by dropping all-zero rows and columns and must satisfy the
-    weakened closedness/consistency conditions; the answer is read off it
-    without any further equivalence query.
+    For every state and every accepting state of the row automaton, the
+    shortest word leading from one to the other becomes a context
+    (unreachable pairs are skipped, duplicates are no-ops).  After filling
+    those cells the table is reduced by dropping all-zero rows and columns and
+    must satisfy the weakened closedness/consistency conditions; the answer is
+    read off it without any further equivalence query.
     """
     first = lstar_col(teacher)
     table = first.final_table
-
-    row_auto, reps = derive_dfa_with_reps(table)
-    state_of = {table._mask(rep): i for i, rep in enumerate(reps)}
-    start_states = [(s, state_of[table._mask(s)]) for s in table.red]
-    for s, start in start_states:
+    # ``lstar_col`` derived its hypothesis from this very table, so it is the
+    # row automaton, with states numbered as their rows first appear in RED.
+    row_auto = first.hypothesis
+    for start in range(row_auto.n_states):
         reach = dict(least_words((start,), row_auto._arcs))
         for target in sorted(row_auto.final):
             if target in reach:
@@ -213,9 +182,8 @@ def two_step_prime_contexts(teacher) -> LearnerResult:
     table.fill(teacher)
 
     reduced = drop_zero_rows_and_columns(table)
-    if reduced.is_rfsa_closed() is not None:
-        raise DiagnosticError("completed table is not RFSA-closed")
-    if reduced.is_rfsa_consistent() is not None:
-        raise DiagnosticError("completed table is not RFSA-consistent")
-    hypothesis = derive_rfsa(reduced)
+    try:
+        hypothesis = derive_rfsa(reduced)
+    except ContractError as exc:
+        raise DiagnosticError(f"completed {exc}") from exc
     return LearnerResult(hypothesis, reduced, teacher.stats.snapshot(), first.iterations)

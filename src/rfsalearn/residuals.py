@@ -19,6 +19,7 @@ from .automata import (
     ContractError,
     InputError,
     _ResidualOrder,
+    _check_state,
     determinize_labeled,
     is_covered,
     least_words,
@@ -70,10 +71,8 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
 
 def is_prime(index: ResidualIndex, q: int) -> bool:
     """True iff the residual of ``q`` exceeds the union of those strictly inside it."""
-    base = index.base
-    if not 0 <= q < base.n_states:
-        raise InputError(f"state id {q!r} out of range")
-    return _ResidualOrder(base).excess_witness(q, index.includes) is not None
+    _check_state(q, index.base.n_states)
+    return _ResidualOrder(index.base).excess_witness(q, index.includes) is not None
 
 
 def canonical_rfsa(l_dfa: Automaton) -> Automaton:

@@ -17,6 +17,7 @@ from .automata import (
     ContractError,
     InputError,
     Word,
+    _checked_alphabet,
     is_covered,
     mask_union,
     pred_masks,
@@ -68,24 +69,22 @@ class ObservationTable:
     BLUE = RED·Σ \\ RED; cells created by a mutation stay unset until
     ``fill`` asks the teacher for them.
 
-    Each row is stored as a ``(mask, filled)`` pair: bit ``j`` of the mask is
-    the cell under context ``j``, and the first ``filled`` contexts are set.
-    Contexts only ever append, so a row's unset cells are always a suffix.
+    Each row is stored as a mask: bit ``j`` is the cell under context ``j``.
+    A row with unset cells maps, in ``_pending``, to the number of its set
+    cells: contexts only ever append, so its unset cells are always a suffix.
+    A row missing from ``_pending`` is full.
     """
 
     def __init__(self, alphabet):
-        symbols = tuple(sorted(alphabet))
-        if len(set(symbols)) != len(symbols):
-            raise InputError("duplicate alphabet symbol")
-        self._alphabet = symbols
+        self._alphabet, _ = _checked_alphabet(tuple(alphabet))
         self._red: list[Word] = [EPSILON]
         self._red_set = {EPSILON}
         self._contexts: list[Word] = [EPSILON]
         self._context_pos = {EPSILON: 0}
-        self._cells: dict[Word, tuple[int, int]] = {EPSILON: (0, 0)}
+        self._cells: dict[Word, int] = {EPSILON: 0}
         # BLUE and the rows with unset cells, as insertion-ordered dicts.
         self._blue: dict[Word, None] = {}
-        self._pending: dict[Word, None] = {EPSILON: None}
+        self._pending: dict[Word, int] = {EPSILON: 0}
         # ``is_closed``'s state between calls: the red row values and a heap
         # of (possibly stale) violators, or None until the next full rescan;
         # plus the rows filled or promoted since the last call.
@@ -134,9 +133,8 @@ class ObservationTable:
         table._blue = {}
         for r in table._red:
             table._extend_blue(r)
-        width = len(table._contexts)
         words = table.words()
-        table._cells = {w: (m, width) for w, m in zip(words, rows_of(words))}
+        table._cells = dict(zip(words, rows_of(words)))
         table._pending = {}
         return table
 
@@ -163,14 +161,14 @@ class ObservationTable:
         return tuple(self._red) + tuple(self._blue)
 
     def obs(self, s: Word, e: Word) -> int:
-        cell = self._cells.get(tuple(s))
-        if cell is None:
+        w = tuple(s)
+        mask = self._cells.get(w)
+        if mask is None:
             raise InputError(f"word {s!r} not in table")
         j = self._context_pos.get(tuple(e))
         if j is None:
             raise InputError(f"context {e!r} not in table")
-        mask, filled = cell
-        if j >= filled:
+        if j >= self._pending.get(w, len(self._contexts)):
             raise ContractError(f"cell ({s!r}, {e!r}) not filled")
         return (mask >> j) & 1
 
@@ -180,11 +178,11 @@ class ObservationTable:
 
     def _mask(self, s: Word) -> int:
         """Row of ``s`` as a bit mask over the contexts."""
-        cell = self._cells.get(tuple(s))
-        if cell is None:
+        w = tuple(s)
+        mask = self._cells.get(w)
+        if mask is None:
             raise InputError(f"word {s!r} not in table")
-        mask, filled = cell
-        if filled < len(self._contexts):
+        if self._pending and w in self._pending:  # a full table hashes no word here
             raise ContractError(f"row {s!r} not fully filled")
         return mask
 
@@ -201,9 +199,9 @@ class ObservationTable:
             if w not in self._red_set:
                 self._blue[w] = None
                 if w not in self._cells:
-                    self._cells[w] = (0, 0)
+                    self._cells[w] = 0
                     if self._contexts:
-                        self._pending[w] = None
+                        self._pending[w] = 0
 
     def add_red(self, s: Word):
         """Promote ``s`` (a one-symbol extension of a red word) into RED."""
@@ -215,10 +213,9 @@ class ObservationTable:
         self._red.append(s)
         self._red_set.add(s)
         self._blue.pop(s, None)
-        if self._cells.setdefault(s, (0, 0))[1] < len(self._contexts):
+        if s in self._pending:
             # Pending red rows keep their promotion order, as RED does.
-            self._pending.pop(s, None)
-            self._pending[s] = None
+            self._pending[s] = self._pending.pop(s)
         if self._closed is not None:
             self._dirty.append(s)
         self._extend_blue(s)
@@ -229,11 +226,13 @@ class ObservationTable:
         e = tuple(e)
         if e in self._context_pos:
             return self
-        self._context_pos[e] = len(self._contexts)
+        width = len(self._contexts)
+        self._context_pos[e] = width
         self._contexts.append(e)
         # Every row gains an unset cell, and every red row value will change.
         if len(self._pending) < len(self._cells):  # some row had none
-            self._pending = dict.fromkeys(self.words())
+            pending = self._pending
+            self._pending = {w: pending.get(w, width) for w in self.words()}
         self._closed = None
         self._dirty.clear()
         return self
@@ -248,11 +247,11 @@ class ObservationTable:
         contexts = self._contexts
         width = len(contexts)
         for w in self._pending_rows():
-            mask, filled = self._cells[w]
-            for j in range(filled, width):
+            mask = self._cells[w]
+            for j in range(self._pending[w], width):
                 if teacher.mq(w + contexts[j]):
                     mask |= 1 << j
-            self._cells[w] = (mask, width)
+            self._cells[w] = mask
             del self._pending[w]
             if self._closed is not None:
                 self._dirty.append(w)
@@ -277,21 +276,21 @@ class ObservationTable:
             raise ContractError(f"row {self._pending_rows()[0]!r} not fully filled")
         cells = self._cells
         if self._closed is None:
-            red_values = {cells[s][0] for s in self._red}
-            heap = [_lex_key(w) for w in self._blue if cells[w][0] not in red_values]
+            red_values = {cells[s] for s in self._red}
+            heap = [_lex_key(w) for w in self._blue if cells[w] not in red_values]
             heapq.heapify(heap)
             self._closed = (red_values, heap)
         else:
             red_values, heap = self._closed
             for w in self._dirty:
                 if w in self._red_set:
-                    red_values.add(cells[w][0])
-                elif cells[w][0] not in red_values:
+                    red_values.add(cells[w])
+                elif cells[w] not in red_values:
                     heapq.heappush(heap, _lex_key(w))
         self._dirty.clear()
         while heap:
             w = heap[0][1]
-            if cells[w][0] not in red_values:  # so ``w`` is still blue
+            if cells[w] not in red_values:  # so ``w`` is still blue
                 return w
             heapq.heappop(heap)
         return None
@@ -379,9 +378,11 @@ class ObservationTable:
         def label(w: Word) -> str:
             return "".join(w) if w else "^"
 
+        width = len(self._contexts)
+
         def cells(w: Word) -> list[str]:
-            mask, filled = self._cells[w]
-            return [str((mask >> j) & 1) if j < filled else "None" for j in range(len(self._contexts))]
+            mask, filled = self._cells[w], self._pending.get(w, width)
+            return [str((mask >> j) & 1) if j < filled else "None" for j in range(width)]
 
         lines = ["\t".join([""] + [label(e) for e in self._contexts])]
         for s in self._red:
@@ -419,14 +420,14 @@ def derive_dfa_with_reps(table: ObservationTable) -> tuple[Automaton, tuple[Word
     index: dict[int, int] = {}
     reps: list[Word] = []
     for s in table._red:
-        value = cells[s][0]
+        value = cells[s]
         if value not in index:
             index[value] = len(reps)
             reps.append(s)
-    arcs = [(i, a, index[cells[s + (a,)][0]]) for i, s in enumerate(reps) for a in table._alphabet]
+    arcs = [(i, a, index[cells[s + (a,)]]) for i, s in enumerate(reps) for a in table._alphabet]
     eps_bit = 1 << table._context_pos[EPSILON]
     finals = frozenset(i for value, i in index.items() if value & eps_bit)
-    initial = frozenset({index[cells[EPSILON][0]]})
+    initial = frozenset({index[cells[EPSILON]]})
     auto = Automaton(table._alphabet, len(reps), initial, finals, tuple(arcs))
     return auto, tuple(reps)
 

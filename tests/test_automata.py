@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,18 @@ def test_accepts_from():
     assert not a.accepts_from(1, ())
     with pytest.raises(InputError):
         a.accepts_from(5, ())
+
+
+def test_run_and_accepts_from_reject_bad_source_states():
+    a = even_a()
+    for q in ("x", 1.5, None, -1, a.n_states):
+        message = re.escape(f"state id {q!r} out of range 0..1")
+        with pytest.raises(InputError, match=message):
+            a.run((q,), ())
+        with pytest.raises(InputError, match=message):
+            a.run([0, q], word("a"))
+        with pytest.raises(InputError, match=message):
+            a.accepts_from(q, word("a"))
 
 
 def test_accepts_from_useless_state_is_false():

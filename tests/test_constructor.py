@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import AB, reference_normalise
 from rfsalearn.automata import Automaton, InputError
+from rfsalearn.tables import ObservationTable
 
 
 def rejects(message, alphabet=AB, n=2, initial=(0,), final=(), transitions=()):
@@ -22,11 +23,26 @@ def test_duplicate_alphabet_symbol():
     rejects("duplicate alphabet symbol", alphabet=("a", "b", "a"))
 
 
+# Bad alphabets and their messages; the first bad symbol in the given order is named.
+BAD_ALPHABETS = [
+    *((("a", sym), f"bad alphabet symbol {sym!r}") for sym in ("", " ", "a b", "x\t", "#", "#a")),
+    (("#a", ""), "bad alphabet symbol '#a'"),
+]
+
+
 def test_bad_alphabet_symbol():
-    for sym in ("", " ", "a b", "x\t", "#", "#a"):
-        rejects(f"bad alphabet symbol {sym!r}", alphabet=("a", sym))
-    # The first bad symbol in the given order is named.
-    rejects("bad alphabet symbol '#a'", alphabet=("#a", ""))
+    for alphabet, message in BAD_ALPHABETS:
+        rejects(message, alphabet=alphabet)
+
+
+def test_observation_table_checks_the_alphabet_like_automaton():
+    for alphabet, message in [*BAD_ALPHABETS, (("a", "b", "a"), "duplicate alphabet symbol")]:
+        with pytest.raises(InputError) as info:
+            ObservationTable(alphabet)
+        assert str(info.value) == message
+        with pytest.raises(InputError) as info:
+            ObservationTable.from_rows(alphabet, [()], [()], {})
+        assert str(info.value) == message
 
 
 def test_bad_alphabet_raises_on_every_call():

@@ -8,9 +8,11 @@ from helpers import (
     minimal_dfas,
     nth_from_end_nfa,
     starts_a,
+    table_from_bits,
     third_from_end_a,
     universal_lang,
 )
+from rfsalearn import learners, tables
 from rfsalearn.automata import (
     determinize,
     isomorphic,
@@ -18,6 +20,7 @@ from rfsalearn.automata import (
     reverse_automaton,
     shortest_difference_witness,
     trim,
+    word,
 )
 from rfsalearn.cli import generate_corpus
 from rfsalearn.learners import (
@@ -28,7 +31,7 @@ from rfsalearn.learners import (
     two_step_reversal,
 )
 from rfsalearn.residuals import c_of_b, canonical_rfsa
-from rfsalearn.tables import derive_reversal_rfsa
+from rfsalearn.tables import ObservationTable, derive_reversal_rfsa
 from rfsalearn.teacher import TeacherSession
 
 HAND_TARGETS = [universal_lang(), empty_lang(), even_a(), ends_a(), starts_a(), third_from_end_a()]
@@ -106,9 +109,41 @@ def test_nlstar_eq_bound_quadratic():
         assert result.stats.eq_count <= index * index
 
 
-def test_nlstar_iteration_guard():
+def test_nlstar_iteration_guard(monkeypatch):
+    monkeypatch.setattr(learners, "_STEP_CAP", 1)
     with pytest.raises(DiagnosticError):
-        nlstar(TeacherSession(third_from_end_a()), iteration_cap=1)
+        nlstar(TeacherSession(third_from_end_a()))
+
+
+@pytest.mark.parametrize(
+    "learner, predicates",
+    [
+        (lstar_col, ("is_closed", "is_consistent")),
+        (nlstar, ("is_rfsa_closed", "is_rfsa_consistent")),
+    ],
+    ids=["lstar_col", "nlstar"],
+)
+def test_table_loop_steps_are_fixes_plus_rounds(monkeypatch, learner, predicates):
+    # The loop looks its predicates up on the class when it runs, so these
+    # counting wrappers see every fix it makes.
+    fixes = []
+    for name in predicates:
+
+        def counted(table, original=getattr(ObservationTable, name)):
+            answer = original(table)
+            if answer is not None:
+                fixes.append(answer)
+            return answer
+
+        monkeypatch.setattr(ObservationTable, name, counted)
+    session = TeacherSession(third_from_end_a())
+    expected = learner(session).hypothesis
+    steps = len(fixes) + session.stats.eq_count
+    monkeypatch.setattr(learners, "_STEP_CAP", steps)
+    assert learner(TeacherSession(third_from_end_a())).hypothesis == expected
+    monkeypatch.setattr(learners, "_STEP_CAP", steps - 1)
+    with pytest.raises(DiagnosticError, match=f"^no fixpoint after {steps - 1} steps$"):
+        learner(TeacherSession(third_from_end_a()))
 
 
 # --------------------------------------------------------------- reversal 2-step
@@ -175,6 +210,44 @@ def test_two_step_prime_contexts_reports_added_queries():
     lstar_col(baseline)
     assert session.stats.eq_count == baseline.stats.eq_count
     assert session.stats.mq_distinct >= baseline.stats.mq_distinct
+
+
+def test_two_step_prime_contexts_derives_once_per_round(monkeypatch):
+    calls = []
+    original = tables.derive_dfa_with_reps
+
+    def counted(table):
+        calls.append(table)
+        return original(table)
+
+    # Counted under every name that binds it, so a derivation outside
+    # ``lstar_col`` is seen wherever it comes from.
+    for module in (tables, learners):
+        if vars(module).get("derive_dfa_with_reps") is original:
+            monkeypatch.setattr(module, "derive_dfa_with_reps", counted)
+    for target in HAND_TARGETS + generate_corpus(25, 5, 2, 7):
+        calls.clear()
+        result = two_step_prime_contexts(TeacherSession(target))
+        assert len(calls) == result.iterations
+
+
+def test_two_step_prime_contexts_diagnoses_a_bad_completed_table(monkeypatch):
+    not_closed = table_from_bits(
+        ["", "a"], ["", "a"], [[1, 0], [1, 0]], blue_bits={word("aa"): [1, 1]}
+    )
+    # RFSA-closed, but row(ε) is inside row(a) while row(ε·a) is not inside row(a·a).
+    not_consistent = table_from_bits(["", "a"], [""], [[0], [1]])
+    assert not_closed.is_rfsa_closed() is not None
+    assert not_consistent.is_rfsa_closed() is None
+    assert not_consistent.is_rfsa_consistent() is not None
+    for table, message in (
+        (not_closed, "completed table is not RFSA-closed"),
+        (not_consistent, "completed table is not RFSA-consistent"),
+    ):
+        monkeypatch.setattr(learners, "drop_zero_rows_and_columns", lambda _, t=table: t)
+        with pytest.raises(DiagnosticError) as info:
+            two_step_prime_contexts(TeacherSession(even_a()))
+        assert str(info.value) == message
 
 
 # -------------------------------------------------------------- corpus sample

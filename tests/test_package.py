@@ -1,5 +1,15 @@
-"""The package's public surface, pinned so that growing it is a visible change."""
+"""The package's public surface, pinned so that growing it is a visible change,
+and the names the benchmark's tracer wraps."""
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
 import rfsalearn
+from rfsalearn.cli import generate_corpus, run_benchmark_record
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 PUBLIC = {
     "EPSILON",
@@ -52,3 +62,55 @@ def test_public_surface_is_pinned():
     assert set(rfsalearn.__all__) == PUBLIC
     for name in rfsalearn.__all__:
         assert hasattr(rfsalearn, name), name
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """``bench/tracing.py``, imported as it is."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("tracing")
+
+
+def _package_bindings():
+    """Every attribute of the package's modules, of their classes and of their dicts."""
+    bindings = {}
+    for name, module in sys.modules.items():
+        if name != "rfsalearn" and not name.startswith("rfsalearn."):
+            continue
+        for key, value in vars(module).items():
+            bindings[name, key] = value
+            if isinstance(value, type):
+                bindings[name, key, "class"] = dict(vars(value))
+            elif isinstance(value, dict):
+                bindings[name, key, "dict"] = dict(value)
+    return bindings
+
+
+def test_tracer_wraps_the_names_the_learners_call(tracing):
+    qualnames = {q for group in (*tracing.SELF_TIME.values(), *tracing.CALLS.values()) for q in group}
+    for qualname in sorted(qualnames | {tracing.ROW}):
+        _, _, original = tracing._resolve(qualname)
+        assert callable(original), qualname
+
+    target = generate_corpus(1, 8, 2, 42)[0]
+    before = _package_bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for alg in ("lstar", "nlstar"):
+            run_benchmark_record("lang_000", target, alg)
+    finally:
+        tracer.uninstall()
+    assert _package_bindings() == before
+
+    # (span, parent span) name pairs: the learners' own loop calls the
+    # predicates and the derivation, besides the derivation's own checks.
+    names = [tracer.names[i] for i in tracer.name]
+    pairs = {(name, names[p]) for name, p in zip(names, tracer.parent) if p >= 0}
+    for child, learner in (
+        ("tables.ObservationTable.is_closed", "learners.lstar_col"),
+        ("tables.derive_dfa", "learners.lstar_col"),
+        ("tables.ObservationTable.is_rfsa_closed", "learners.nlstar"),
+        ("tables.derive_rfsa", "learners.nlstar"),
+    ):
+        assert (child, learner) in pairs

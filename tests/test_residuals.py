@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -160,6 +161,13 @@ def test_empty_language_residual_is_composed():
     base = canon(empty_lang())
     idx = residual_index(base)
     assert not is_prime(idx, 0)
+
+
+def test_is_prime_rejects_bad_state_ids():
+    idx = residual_index(canon(even_a()))
+    for q in ("x", 1.5, None, -1, 2):
+        with pytest.raises(InputError, match=re.escape(f"state id {q!r} out of range 0..1")):
+            is_prime(idx, q)
 
 
 def test_universal_language_residual_is_prime():
