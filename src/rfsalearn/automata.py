@@ -197,11 +197,10 @@ class Automaton:
     def _delta(self) -> list[list[int]]:
         """``delta[i][q]``: the successor of ``q`` on the i-th symbol of a total DFA."""
         n, k = self.n_states, len(self.alphabet)
-        # Transitions are sorted by state, then symbol, one entry per pair with
-        # a successor: the machine is total and deterministic iff there are
-        # n·k entries holding n·k targets.
+        # Transitions are sorted by state, then symbol: a total machine whose
+        # entries hold one target each is a DFA with n·k targets in that order.
         flat = [t for _, _, targets in self.transitions for t in targets]
-        if not len(self.transitions) == len(flat) == n * k:
+        if not (self.is_total and len(flat) == len(self.transitions)):
             q, a = next((q, a) for q in range(n) for a in self.alphabet if len(self.step(q, a)) != 1)
             raise ContractError(
                 f"expected a total deterministic automaton: "
@@ -224,8 +223,8 @@ class Automaton:
 
     @property
     def is_total(self) -> bool:
-        pairs = {(q, a) for q, a, _ in self.transitions}
-        return all((q, a) in pairs for q in range(self.n_states) for a in self.alphabet)
+        # ``transitions`` holds one entry per (state, symbol) pair with a successor.
+        return len(self.transitions) == self.n_states * len(self.alphabet)
 
 
 def is_covered(target, values) -> bool:
@@ -328,7 +327,7 @@ def minimize(dfa: Automaton) -> Automaton:
     """
     if not dfa.is_deterministic:
         raise ContractError("minimize requires a deterministic automaton")
-    if len(dfa.transitions) < dfa.n_states * len(dfa.alphabet):  # some pair lacks its arc
+    if not dfa.is_total:
         dfa = determinize(dfa)
     (q0,) = dfa.initial
     symbols, delta, n = dfa.alphabet, dfa._delta, dfa.n_states
@@ -647,9 +646,10 @@ def parse_automaton(text: str) -> Automaton:
         if key == "alphabet":
             if alphabet is not None:
                 raise ParseError(line_no, "duplicate alphabet: line")
-            if len(set(tokens)) != len(tokens):
-                raise ParseError(line_no, "duplicate alphabet symbol")
-            alphabet = tuple(tokens)
+            try:
+                alphabet, _ = _checked_alphabet(tuple(tokens))
+            except InputError as exc:
+                raise ParseError(line_no, str(exc)) from None
         elif key == "states":
             if n_states is not None:
                 raise ParseError(line_no, "duplicate states: line")

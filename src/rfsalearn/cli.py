@@ -11,7 +11,7 @@ import string
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .automata import (
@@ -60,22 +60,9 @@ class BenchRecord:
     wall_ms: float
 
     def csv_row(self) -> str:
-        return ",".join(
-            str(v)
-            for v in (
-                self.language_id,
-                self.alg,
-                self.index,
-                self.primes,
-                self.hyp_states,
-                self.mq_total,
-                self.mq_distinct,
-                self.eq_count,
-                self.longest_cex,
-                self.correct,
-                f"{self.wall_ms:.1f}",
-            )
-        )
+        # The fields are declared in the order of BENCH_HEADER's columns.
+        *columns, wall_ms = astuple(self)
+        return ",".join([*map(str, columns), f"{wall_ms:.1f}"])
 
 
 def generate_corpus(n: int, max_states: int, alphabet_size: int, seed: int) -> list[Automaton]:
@@ -208,7 +195,10 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    algs = [a.strip() for a in args.algs.split(",") if a.strip()]
+    algs = list(dict.fromkeys(a.strip() for a in args.algs.split(",") if a.strip()))
+    if not algs:
+        print("no algorithm given", file=sys.stderr)
+        return 2
     for alg in algs:
         if alg not in ALGORITHMS:
             print(f"unknown algorithm {alg!r}", file=sys.stderr)

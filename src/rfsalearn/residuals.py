@@ -12,7 +12,6 @@ of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .automata import (
     Automaton,
@@ -23,7 +22,6 @@ from .automata import (
     determinize_labeled,
     is_covered,
     least_words,
-    reverse_automaton,
     shortest_difference_witness,
 )
 
@@ -142,22 +140,3 @@ def c_of_b(b: Automaton) -> Automaton:
                     arcs.append((number[p], a, number[p2]))
     return Automaton(b.alphabet, len(members), initial, final, tuple(arcs))
 
-
-def min_distinguishing_context_count(l_dfa: Automaton, budget: int = 4) -> int:
-    """Least number of realizable context columns that pairwise-separate all states.
-
-    Candidate columns are every acceptance vector some context can realize,
-    enumerated as the reachable state sets of the reversed machine.  Searches
-    subsets exhaustively, so inputs are capped at ``budget`` states.
-    """
-    _minimal_includes(l_dfa)
-    n = l_dfa.n_states
-    if n > budget:
-        raise InputError(f"state count {n} exceeds the brute-force budget {budget}")
-    candidates = list(dict.fromkeys(reachable_state_sets(reverse_automaton(l_dfa)).members))
-    pairs = [(q1, q2) for q1 in range(n) for q2 in range(q1 + 1, n)]
-    for k in range(len(candidates) + 1):
-        for chosen in combinations(candidates, k):
-            if all(any((q1 in c) != (q2 in c) for c in chosen) for q1, q2 in pairs):
-                return k
-    raise RuntimeError("realizable columns failed to separate a minimal DFA")

@@ -77,12 +77,11 @@ class ObservationTable:
 
     def __init__(self, alphabet):
         self._alphabet, _ = _checked_alphabet(tuple(alphabet))
-        self._red: list[Word] = [EPSILON]
-        self._red_set = {EPSILON}
         self._contexts: list[Word] = [EPSILON]
         self._context_pos = {EPSILON: 0}
         self._cells: dict[Word, int] = {EPSILON: 0}
-        # BLUE and the rows with unset cells, as insertion-ordered dicts.
+        # RED, BLUE and the rows with unset cells, as insertion-ordered dicts.
+        self._red: dict[Word, None] = {EPSILON: None}
         self._blue: dict[Word, None] = {}
         self._pending: dict[Word, int] = {EPSILON: 0}
         # ``is_closed``'s state between calls: the red row values and a heap
@@ -99,11 +98,12 @@ class ObservationTable:
         ``rows`` maps every word of RED ∪ (RED·Σ \\ RED) to its bit sequence,
         one bit per context.
         """
-        red = [tuple(s) for s in red]
-        if len(set(red)) != len(red):
+        given = [tuple(s) for s in red]
+        red = dict.fromkeys(given)
+        if len(red) != len(given):
             raise InputError("duplicate red word")
         for s in red:
-            if s != EPSILON and s[:-1] not in set(red):
+            if s != EPSILON and s[:-1] not in red:
                 raise ContractError(f"red is not prefix-closed at {s!r}")
         contexts = [tuple(e) for e in contexts]
         if len(set(contexts)) != len(contexts):
@@ -126,8 +126,7 @@ class ObservationTable:
         Skips the prefix-closure check, so reductions can drop red words.
         """
         table = cls(alphabet)
-        table._red = list(red)
-        table._red_set = set(table._red)
+        table._red = dict.fromkeys(red)
         table._contexts = list(contexts)
         table._context_pos = {e: j for j, e in enumerate(table._contexts)}
         table._blue = {}
@@ -196,7 +195,7 @@ class ObservationTable:
         """Append to BLUE the one-symbol extensions of ``r`` that are not red."""
         for a in self._alphabet:
             w = r + (a,)
-            if w not in self._red_set:
+            if w not in self._red:
                 self._blue[w] = None
                 if w not in self._cells:
                     self._cells[w] = 0
@@ -206,12 +205,11 @@ class ObservationTable:
     def add_red(self, s: Word):
         """Promote ``s`` (a one-symbol extension of a red word) into RED."""
         s = tuple(s)
-        if s in self._red_set:
+        if s in self._red:
             return self
-        if s == EPSILON or s[:-1] not in self._red_set:
+        if s == EPSILON or s[:-1] not in self._red:
             raise ContractError(f"promoting {s!r} would break prefix-closure")
-        self._red.append(s)
-        self._red_set.add(s)
+        self._red[s] = None
         self._blue.pop(s, None)
         if s in self._pending:
             # Pending red rows keep their promotion order, as RED does.
@@ -239,7 +237,7 @@ class ObservationTable:
 
     def _pending_rows(self) -> list[Word]:
         """Rows with unset cells in stored order: RED first, then BLUE."""
-        red = self._red_set
+        red = self._red
         return [w for w in self._pending if w in red] + [w for w in self._pending if w not in red]
 
     def fill(self, teacher):
@@ -258,10 +256,6 @@ class ObservationTable:
         return self
 
     # ------------------------------------------------------------ predicates
-
-    def obviously_different(self, r: Word, s: Word) -> bool:
-        """True iff some context tells the two rows apart."""
-        return self._mask(r) != self._mask(s)
 
     def is_closed(self) -> Word | None:
         """None when closed, else the least blue word matching no red row.
@@ -283,7 +277,7 @@ class ObservationTable:
         else:
             red_values, heap = self._closed
             for w in self._dirty:
-                if w in self._red_set:
+                if w in self._red:
                     red_values.add(cells[w])
                 elif cells[w] not in red_values:
                     heapq.heappush(heap, _lex_key(w))
@@ -312,10 +306,6 @@ class ObservationTable:
             if differ:
                 return (a,) + self._least_context(differ)
         return None
-
-    def row_includes(self, s1: Word, s2: Word) -> bool:
-        """True iff every 1 of row(s1) is also a 1 of row(s2)."""
-        return self._mask(s1) & ~self._mask(s2) == 0
 
     def is_row_coverable(self, s: Word, candidates) -> bool:
         """True iff row(s) equals the OR of the candidate rows strictly below it."""
@@ -413,7 +403,7 @@ def _check_derivable(table: ObservationTable):
 def derive_dfa_with_reps(table: ObservationTable) -> tuple[Automaton, tuple[Word, ...]]:
     """Automaton of a closed and consistent table plus one red word per state."""
     _check_derivable(table)
-    if EPSILON not in table._red_set:
+    if EPSILON not in table._red:
         raise ContractError("red must contain the empty word")
     # A closed table has no unset cell, so each cell's mask is its full row.
     cells = table._cells
@@ -564,7 +554,7 @@ def derive_rfsa(table: ObservationTable) -> Automaton:
         return Automaton(table.alphabet, 0, frozenset(), frozenset(), ())
     if EPSILON not in table.contexts:
         raise ContractError("the empty context is required")
-    if EPSILON not in set(table.red):
+    if EPSILON not in table._red:
         raise ContractError("red must contain the empty word")
     masks = [table._mask(s) for s in reps]
     eps_at = table._context_pos[EPSILON]

@@ -43,13 +43,11 @@ class TeacherSession:
         self.stats = QueryStats()
         self._cache: dict[Word, int] = {}
         self._rows = None
-        # A DFA is total iff it has one entry per state and symbol, and then
-        # it answers by one successor-array lookup per symbol.
-        n, k = target.n_states, len(target.alphabet)
-        if target.is_deterministic and len(target.transitions) == n * k:
+        # A total DFA answers by one successor-array lookup per symbol.
+        if target.is_deterministic and target.is_total:
             (self._start,) = target.initial
             self._rows = dict(zip(target.alphabet, target._delta))
-            self._accepting = [int(q in target.final) for q in range(n)]
+            self._accepting = [int(q in target.final) for q in range(target.n_states)]
 
     @property
     def alphabet(self) -> tuple[str, ...]:

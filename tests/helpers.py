@@ -4,11 +4,14 @@ that the single-pass kernel is checked against, a full-rescan observation
 table that the incremental one is checked against, the frozenset pipeline
 that ``rev2step``'s mask-based second step is checked against, the
 scan-everything normaliser that ``Automaton``'s constructor is checked
-against, and the reversed-automaton equivalence query and bit-loop
+against, the reversed-automaton equivalence query and bit-loop
 transpose that the teacher's backward walk and ``tables._transpose`` are
-checked against."""
+checked against, the pair-set totality test that ``Automaton.is_total`` is
+checked against, and the names only tests use: two row predicates over
+``ObservationTable.row`` and a brute-force distinguishing-context count."""
 import dataclasses
 from collections import deque
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -26,6 +29,7 @@ from rfsalearn.automata import (
     useful_states,
     word,
 )
+from rfsalearn.residuals import reachable_state_sets, residual_index
 from rfsalearn.tables import (
     ModifiedTable,
     ObservationTable,
@@ -449,3 +453,46 @@ def reference_transpose(masks, width):
             out[low.bit_length() - 1] |= bit
             m ^= low
     return out
+
+
+# ------------------------------------------------------------- totality reference
+
+
+def reference_is_total(a):
+    """Every (state, symbol) pair has a successor, checked pair by pair."""
+    pairs = {(q, sym) for q, sym, _ in a.transitions}
+    return all((q, sym) in pairs for q in range(a.n_states) for sym in a.alphabet)
+
+
+# ------------------------------------------------------------ names only tests use
+
+
+def obviously_different(table, r, s):
+    """True iff some context tells the rows of ``r`` and ``s`` apart."""
+    return table.row(r) != table.row(s)
+
+
+def row_includes(table, s1, s2):
+    """True iff every 1 of row(s1) is also a 1 of row(s2)."""
+    return all(b1 <= b2 for b1, b2 in zip(table.row(s1), table.row(s2)))
+
+
+def min_distinguishing_context_count(l_dfa, budget=4):
+    """Least number of realizable context columns that pairwise-separate all states.
+
+    ``l_dfa`` must be a minimal DFA in canonical numbering.  Candidate columns
+    are every acceptance vector some context can realize, enumerated as the
+    reachable state sets of the reversed machine.  Searches subsets
+    exhaustively, so inputs are capped at ``budget`` states.
+    """
+    residual_index(l_dfa)  # raises ContractError on any other input
+    n = l_dfa.n_states
+    if n > budget:
+        raise InputError(f"state count {n} exceeds the brute-force budget {budget}")
+    candidates = list(dict.fromkeys(reachable_state_sets(reverse_automaton(l_dfa)).members))
+    pairs = [(q1, q2) for q1 in range(n) for q2 in range(q1 + 1, n)]
+    for k in range(len(candidates) + 1):
+        for chosen in combinations(candidates, k):
+            if all(any((q1 in c) != (q2 in c) for c in chosen) for q1, q2 in pairs):
+                return k
+    raise RuntimeError("realizable columns failed to separate a minimal DFA")

@@ -4,7 +4,7 @@ import itertools
 import random
 
 from conftest import CRITERION_LINES, LEARNERS
-from helpers import table_from_bits, third_from_end_a
+from helpers import min_distinguishing_context_count, table_from_bits, third_from_end_a
 from rfsalearn.automata import (
     determinize,
     format_automaton,
@@ -16,7 +16,7 @@ from rfsalearn.automata import (
     word,
 )
 from rfsalearn.cli import main as cli_main
-from rfsalearn.residuals import canonical_rfsa, min_distinguishing_context_count
+from rfsalearn.residuals import canonical_rfsa
 from rfsalearn.tables import ObservationTable
 
 

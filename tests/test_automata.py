@@ -12,6 +12,7 @@ from helpers import (
     even_a,
     nfa_ends_a,
     nth_from_end_nfa,
+    reference_is_total,
     starts_a,
     universal_lang,
 )
@@ -435,11 +436,22 @@ def test_parse_errors_carry_line_numbers():
         ("alphabet: a\nstates: 1\ntrans: 0 z 0\n", 3),
         ("alphabet: a\nstates: x\n", 2),
         ("alphabet: a\ninitial: 0\n", 2),
+        ("alphabet: a #b\nstates: 1\ninitial: 0\nfinal:\n", 1),
     ]
     for text, line in cases:
         with pytest.raises(ParseError) as err:
             parse_automaton(text)
         assert err.value.line == line
+
+
+def test_parse_alphabet_errors_keep_their_messages():
+    for text, message in (
+        ("alphabet: a b a\nstates: 1\n", "line 1: duplicate alphabet symbol"),
+        ("# comment\nalphabet: a #b\nstates: 1\n", "line 2: bad alphabet symbol '#b'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        assert str(err.value) == message
 
 
 # ----------------------------------------------------------- property checks
@@ -537,3 +549,18 @@ def test_least_words_are_least_access_words(dfa):
     found = list(least_words(dfa.initial, dfa._arcs))
     assert dict(found) == expected
     assert [w for _, w in found] == sorted(expected.values(), key=lambda w: (len(w), w))
+
+
+@given(st.one_of(automata(), small_dfas()))
+@settings(max_examples=80, deadline=None)
+def test_is_total_matches_pair_set_reference(a):
+    assert a.is_total == reference_is_total(a)
+
+
+def test_is_total_without_states_or_symbols():
+    for a in (
+        Automaton(AB, 0, set(), set(), []),
+        Automaton((), 2, {0}, {1}, []),
+        Automaton((), 0, set(), set(), []),
+    ):
+        assert a.is_total and reference_is_total(a)

@@ -152,6 +152,27 @@ def test_bench_unknown_alg_exit_2(tmp_path):
     assert main(["bench", str(corpus), "--algs", "lstar,bogus"]) == 2
 
 
+def test_bench_repeated_alg_writes_each_record_once(tmp_path):
+    corpus = tmp_path / "corpus"
+    main(["gen-corpus", str(corpus), "--n", "2", "--max-states", "3", "--seed", "1"])
+    once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+    assert main(["bench", str(corpus), "--algs", "lstar", "--out", str(once)]) == 0
+    assert main(["bench", str(corpus), "--algs", "lstar, lstar,lstar", "--out", str(twice)]) == 0
+    strip = lambda p: [r.rsplit(",", 1)[0] for r in p.read_text().strip().splitlines()]
+    assert len(strip(twice)) == 1 + 2
+    assert strip(twice) == strip(once)
+
+
+def test_bench_no_alg_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    main(["gen-corpus", str(corpus), "--n", "1", "--max-states", "3", "--seed", "1"])
+    out = tmp_path / "bench.csv"
+    for algs in ("", ",", " , ,"):
+        assert main(["bench", str(corpus), "--algs", algs, "--out", str(out)]) == 2
+        assert "no algorithm given" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_empty_corpus_exit_3(tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()

@@ -7,6 +7,7 @@ from helpers import (
     empty_lang,
     ends_a,
     even_a,
+    min_distinguishing_context_count,
     nfa_ends_a,
     nth_from_end_nfa,
     starts_a,
@@ -29,7 +30,6 @@ from rfsalearn.residuals import (
     canonical_rfsa,
     is_coverable_state,
     is_prime,
-    min_distinguishing_context_count,
     reachable_state_sets,
     residual_index,
 )
