@@ -40,6 +40,10 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
+    def __reduce__(self):
+        # Rebuilt from both arguments, so the error survives a process pool.
+        return type(self), (self.line, str(self).partition(": ")[2])
+
 
 @functools.lru_cache(maxsize=64)
 def _checked_alphabet(symbols: tuple) -> tuple[tuple[str, ...], frozenset]:
@@ -52,9 +56,10 @@ def _checked_alphabet(symbols: tuple) -> tuple[tuple[str, ...], frozenset]:
     return tuple(sorted(symbols)), frozenset(symbols)
 
 
-def _check_state(q, n: int) -> None:
+def _check_state(q, n: int) -> int:
     if not isinstance(q, int) or not 0 <= q < n:
         raise InputError(f"state id {q!r} out of range 0..{n - 1}")
+    return q
 
 
 def _state_ids_ok(ids, n: int) -> bool:
@@ -65,20 +70,6 @@ def _state_ids_ok(ids, n: int) -> bool:
 def _reiterable(values):
     """``values``, read into a tuple first when it may be a one-pass iterator."""
     return values if isinstance(values, (tuple, list, set, frozenset)) else tuple(values)
-
-
-def _checked_states(values, n: int) -> frozenset[int]:
-    """The state ids ``values`` as a frozenset; a bad id raises at the first in order."""
-    values = _reiterable(values)
-    try:
-        ids = frozenset(values)
-        valid = _state_ids_ok(ids, n)
-    except TypeError:  # an unhashable or unordered value
-        valid = False
-    if not valid:
-        for q in values:
-            _check_state(q, n)
-    return ids
 
 
 @dataclass(frozen=True)
@@ -104,8 +95,8 @@ class Automaton:
         n = self.n_states
         if n < 0:
             raise InputError("negative state count")
-        initial = _checked_states(self.initial, n)
-        final = _checked_states(self.final, n)
+        initial = frozenset(_check_state(q, n) for q in self.initial)
+        final = frozenset(_check_state(q, n) for q in self.final)
         entries = _reiterable(self.transitions)
         try:
             columns = tuple(zip(*entries))[:3]
@@ -319,15 +310,13 @@ def determinize_labeled(a: Automaton) -> tuple[Automaton, tuple[frozenset[int], 
 
 
 def minimize(dfa: Automaton) -> Automaton:
-    """Minimal total DFA with canonical state numbering.
+    """Minimal total DFA of any automaton, with canonical state numbering.
 
     States are numbered in breadth-first order from the start state over the
     sorted alphabet, so two inputs with the same language produce identical
-    values.  A partial input is completed by the subset construction first.
+    values.  An input that is not a total DFA is determinized first.
     """
-    if not dfa.is_deterministic:
-        raise ContractError("minimize requires a deterministic automaton")
-    if not dfa.is_total:
+    if not (dfa.is_total and dfa.is_deterministic):
         dfa = determinize(dfa)
     (q0,) = dfa.initial
     symbols, delta, n = dfa.alphabet, dfa._delta, dfa.n_states

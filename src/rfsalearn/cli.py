@@ -19,7 +19,6 @@ from .automata import (
     ContractError,
     InputError,
     ParseError,
-    determinize,
     format_automaton,
     minimize,
     parse_automaton,
@@ -100,7 +99,7 @@ def lang_file_name(k: int) -> str:
 
 def _language_columns(target: Automaton) -> tuple[int, int]:
     """The ``index`` and ``primes`` columns: states of the minimal DFA and prime residuals."""
-    mindfa = minimize(determinize(target))
+    mindfa = minimize(target)
     index = residual_index(mindfa)
     return mindfa.n_states, sum(is_prime(index, q) for q in range(mindfa.n_states))
 
@@ -164,15 +163,12 @@ def _usable_cpu_count() -> int:
 def cmd_canonical(args) -> int:
     text = Path(args.path).read_text(encoding="utf-8")
     target = parse_automaton(text)
-    result = canonical_rfsa(minimize(determinize(target)))
+    result = canonical_rfsa(minimize(target))
     sys.stdout.write(format_automaton(result))
     return 0
 
 
 def cmd_learn(args) -> int:
-    if args.alg not in ALGORITHMS:
-        print(f"unknown algorithm {args.alg!r}", file=sys.stderr)
-        return 2
     target = parse_automaton(Path(args.target).read_text(encoding="utf-8"))
     language_id = Path(args.target).stem
     record, hypothesis = run_benchmark_record(language_id, target, args.alg)
@@ -229,9 +225,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.alg not in ALGORITHMS:
-        print(f"unknown algorithm {args.alg!r}", file=sys.stderr)
-        return 2
     target = parse_automaton(Path(args.target).read_text(encoding="utf-8"))
     session = TeacherSession(target)
     result = ALGORITHMS[args.alg](session)
@@ -257,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_canonical)
 
     p = sub.add_parser("learn", help="run one learner against a target automaton")
-    p.add_argument("--alg", required=True)
+    p.add_argument("--alg", required=True, choices=sorted(ALGORITHMS))
     p.add_argument("--target", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--stats", default=None)
@@ -279,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_bench)
 
     p = sub.add_parser("table", help="show the final observation table of a learning run")
-    p.add_argument("--alg", required=True)
+    p.add_argument("--alg", required=True, choices=sorted(ALGORITHMS))
     p.add_argument("--target", required=True)
     p.add_argument("--dump", action="store_true")
     p.set_defaults(run=cmd_table)

@@ -185,10 +185,6 @@ class ObservationTable:
             raise ContractError(f"row {s!r} not fully filled")
         return mask
 
-    def _least_context(self, bits: int) -> Word:
-        """Context at the lowest set position of ``bits``."""
-        return self._contexts[(bits & -bits).bit_length() - 1]
-
     # ------------------------------------------------------------- mutations
 
     def _extend_blue(self, r: Word):
@@ -203,14 +199,14 @@ class ObservationTable:
                         self._pending[w] = 0
 
     def add_red(self, s: Word):
-        """Promote ``s`` (a one-symbol extension of a red word) into RED."""
+        """Promote the blue word ``s`` into RED; a no-op when it is already red."""
         s = tuple(s)
         if s in self._red:
             return self
-        if s == EPSILON or s[:-1] not in self._red:
-            raise ContractError(f"promoting {s!r} would break prefix-closure")
+        if s not in self._blue:
+            raise ContractError(f"cannot promote {s!r}: it is not a blue word")
         self._red[s] = None
-        self._blue.pop(s, None)
+        del self._blue[s]
         if s in self._pending:
             # Pending red rows keep their promotion order, as RED does.
             self._pending[s] = self._pending.pop(s)
@@ -224,6 +220,9 @@ class ObservationTable:
         e = tuple(e)
         if e in self._context_pos:
             return self
+        for a in e:
+            if a not in self._alphabet:
+                raise InputError(f"symbol {a!r} not in alphabet")
         width = len(self._contexts)
         self._context_pos[e] = width
         self._contexts.append(e)
@@ -289,23 +288,27 @@ class ObservationTable:
             heapq.heappop(heap)
         return None
 
+    def _extension_fix(self, pairs) -> Word | None:
+        """Least ``a·e`` with ``e`` in row(s·a) but not in row(t·a), over RED positions ``(s, t)``."""
+        if self._pending:
+            raise ContractError(f"row {self._pending_rows()[0]!r} not fully filled")
+        for a in self._alphabet:  # one symbol's extension rows at a time
+            succ = [self._cells[s + (a,)] for s in self._red]
+            broken = 0
+            for i, j in pairs:
+                broken |= succ[i] & ~succ[j]
+            if broken:
+                return (a,) + self._contexts[(broken & -broken).bit_length() - 1]
+        return None
+
     def is_consistent(self) -> Word | None:
         """None when consistent, else the least context ``a·e`` fixing a violation."""
-        groups: dict[int, list[Word]] = {}
-        for s in self._red:
-            groups.setdefault(self._mask(s), []).append(s)
-        clashes = [g for g in groups.values() if len(g) > 1]
-        if not clashes:
+        masks = [self._mask(s) for s in self._red]
+        if len(set(masks)) == len(masks):  # no two red rows are equal
             return None
-        for a in self._alphabet:
-            differ = 0
-            for group in clashes:
-                first = self._mask(group[0] + (a,))
-                for s in group[1:]:
-                    differ |= self._mask(s + (a,)) ^ first
-            if differ:
-                return (a,) + self._least_context(differ)
-        return None
+        # Both orders of each pair: the OR of ``&~`` is the XOR of the extension rows.
+        pairs = [(i, j) for i, m in enumerate(masks) for j, n in enumerate(masks) if m == n and i != j]
+        return self._extension_fix(pairs)
 
     def is_row_coverable(self, s: Word, candidates) -> bool:
         """True iff row(s) equals the OR of the candidate rows strictly below it."""
@@ -342,15 +345,7 @@ class ObservationTable:
             for i2, m2 in enumerate(masks)
             if m1 & ~m2 == 0
         ]
-        ext = {a: [self._mask(s + (a,)) for s in self._red] for a in self._alphabet}
-        for a in self._alphabet:
-            succ = ext[a]
-            broken = 0
-            for i1, i2 in pairs:
-                broken |= succ[i1] & ~succ[i2]
-            if broken:
-                return (a,) + self._least_context(broken)
-        return None
+        return self._extension_fix(pairs)
 
     def is_column_coverable(self, e: Word) -> bool:
         """True iff the red part of col(e) is the OR of the other columns inside it."""
@@ -457,18 +452,17 @@ def apply_modifications(table: ObservationTable) -> ModifiedTable:
     column = _transpose(masks1, len(table.contexts))
     cols1 = list(_least_per_value(table.contexts, lambda e: column[pos[e]]).values())
 
+    # cols1 has every distinct column, so a row that is 0 in all of them is 0.
     eps_at = pos[EPSILON]
-    eps_obs = {s: (m >> eps_at) & 1 for s, m in zip(red1, masks1)}
-
-    in_cols1 = sum(1 << pos[e] for e in cols1)
-    red2 = [s for s, m in zip(red1, masks1) if m & in_cols1]
+    eps_obs = {s: (m >> eps_at) & 1 for s, m in zip(red1, masks1) if m}
+    red2 = list(eps_obs)
     cols2 = [e for e in cols1 if column[pos[e]]]
 
     values = [column[pos[e]] for e in cols2]
     cols3 = [e for e, v in zip(cols2, values) if not is_covered(v, values)]
 
     reduced = _restrict(table, red2, [pos[e] for e in cols3])
-    return ModifiedTable(reduced, {s: eps_obs[s] for s in red2})
+    return ModifiedTable(reduced, eps_obs)
 
 
 def modified_row_automaton(modified: ModifiedTable) -> Automaton:

@@ -7,9 +7,13 @@ scan-everything normaliser that ``Automaton``'s constructor is checked
 against, the reversed-automaton equivalence query and bit-loop
 transpose that the teacher's backward walk and ``tables._transpose`` are
 checked against, the pair-set totality test that ``Automaton.is_total`` is
-checked against, and the names only tests use: two row predicates over
-``ObservationTable.row`` and a brute-force distinguishing-context count."""
+checked against, the brute-force extension scan that both table consistency
+checks are checked against, the names only tests use (two row predicates
+over ``ObservationTable.row`` and a brute-force distinguishing-context
+count), and the query log and digests that pin every observable output of
+the learners on a fixed slice of targets."""
 import dataclasses
+import hashlib
 from collections import deque
 from itertools import combinations
 
@@ -19,7 +23,9 @@ from rfsalearn.automata import (
     Automaton,
     ContractError,
     InputError,
+    determinize,
     determinize_labeled,
+    format_automaton,
     is_covered,
     minimize,
     reverse_automaton,
@@ -29,7 +35,8 @@ from rfsalearn.automata import (
     useful_states,
     word,
 )
-from rfsalearn.residuals import reachable_state_sets, residual_index
+from rfsalearn.cli import generate_corpus
+from rfsalearn.residuals import canonical_rfsa, reachable_state_sets, residual_index
 from rfsalearn.tables import (
     ModifiedTable,
     ObservationTable,
@@ -37,6 +44,7 @@ from rfsalearn.tables import (
     derive_dfa_with_reps,
     modified_row_automaton,
 )
+from rfsalearn.teacher import TeacherSession
 
 AB = ("a", "b")
 
@@ -477,6 +485,30 @@ def row_includes(table, s1, s2):
     return all(b1 <= b2 for b1, b2 in zip(table.row(s1), table.row(s2)))
 
 
+def reference_consistency_fix(table, rfsa=False):
+    """The fix ``is_consistent`` (``is_rfsa_consistent`` when ``rfsa``) must return, cell by cell.
+
+    Per symbol ``a`` in alphabet order, the context positions where some
+    pair of red words with equal rows (for ``rfsa``: with row(s) inside
+    row(t)) differs in the rows of ``s·a`` and ``t·a`` (for ``rfsa``: has a
+    1 in row(s·a) over a 0 in row(t·a)).  The fix is ``a`` followed by the
+    context at the least such position; None when no symbol has one.
+    """
+    for a in table.alphabet:
+        positions = set()
+        for s in table.red:
+            for t in table.red:
+                related = row_includes(table, s, t) if rfsa else table.row(s) == table.row(t)
+                if not related:
+                    continue
+                for j, (x, y) in enumerate(zip(table.row(s + (a,)), table.row(t + (a,)))):
+                    if (x > y) if rfsa else (x != y):
+                        positions.add(j)
+        if positions:
+            return (a,) + table.contexts[min(positions)]
+    return None
+
+
 def min_distinguishing_context_count(l_dfa, budget=4):
     """Least number of realizable context columns that pairwise-separate all states.
 
@@ -496,3 +528,71 @@ def min_distinguishing_context_count(l_dfa, budget=4):
             if all(any((q1 in c) != (q2 in c) for c in chosen) for q1, q2 in pairs):
                 return k
     raise RuntimeError("realizable columns failed to separate a minimal DFA")
+
+
+# ------------------------------------------------------------------ pinned outputs
+
+
+class QueryLog:
+    """A teacher over ``session`` that records every query and its answer, in order.
+
+    ``_eq_reversed`` is forwarded too, so ``rev2step``'s reversal view can
+    wrap the log.
+    """
+
+    def __init__(self, session):
+        self.session = session
+        self.entries = []
+
+    @property
+    def alphabet(self):
+        return self.session.alphabet
+
+    @property
+    def stats(self):
+        return self.session.stats
+
+    def mq(self, w):
+        self.entries.append(("mq", tuple(w)))
+        return self.session.mq(w)
+
+    def eq(self, hypothesis):
+        witness = self.session.eq(hypothesis)
+        self.entries.append(("eq", witness))
+        return witness
+
+    def _eq_reversed(self, hypothesis):
+        witness = self.session._eq_reversed(hypothesis)
+        self.entries.append(("eq-reversed", witness))
+        return witness
+
+
+def pinned_targets():
+    """The first 20 seed-42 corpus languages, nth-from-end n=3..5 and nth-from-start n=6..7."""
+    targets = generate_corpus(20, 8, 2, 42)
+    targets += [minimize(determinize(nth_from_end_nfa(n))) for n in range(3, 6)]
+    targets += [minimize(determinize(reverse_automaton(nth_from_end_nfa(n)))) for n in (6, 7)]
+    return targets
+
+
+def learner_digest(learner, targets):
+    """SHA-256 over each run's hypothesis, final table, counters and exact query log."""
+    digest = hashlib.sha256()
+    for target in targets:
+        log = QueryLog(TeacherSession(target))
+        result = learner(log)
+        table, eps_obs = result.final_table, None
+        if isinstance(table, ModifiedTable):
+            table, eps_obs = table.table, sorted(table.eps_obs.items())
+        digest.update(format_automaton(result.hypothesis).encode())
+        digest.update(table.dump().encode())
+        digest.update(repr((eps_obs, result.stats, result.iterations, log.entries)).encode())
+    return digest.hexdigest()
+
+
+def canonical_digest(targets):
+    """SHA-256 over the bench's canonical op on each target."""
+    digest = hashlib.sha256()
+    for target in targets:
+        digest.update(format_automaton(canonical_rfsa(minimize(determinize(target)))).encode())
+    return digest.hexdigest()

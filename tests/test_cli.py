@@ -67,9 +67,11 @@ def test_learn_rev2step_matches_canonical(tmp_path):
     assert isomorphic(hypothesis, canonical_rfsa(minimize(determinize(starts_a()))))
 
 
-def test_learn_unknown_alg_exit_2(tmp_path):
+def test_learn_unknown_alg_exit_2(tmp_path, capsys):
     target = write_target(tmp_path, even_a())
-    assert main(["learn", "--alg", "foo", "--target", str(target)]) == 2
+    for command in ("learn", "table"):
+        assert main([command, "--alg", "foo", "--target", str(target)]) == 2
+        assert "argument --alg: invalid choice: 'foo'" in capsys.readouterr().err
 
 
 def test_gen_corpus_deterministic(tmp_path):
@@ -171,6 +173,18 @@ def test_bench_no_alg_exit_2(tmp_path, capsys):
         assert main(["bench", str(corpus), "--algs", algs, "--out", str(out)]) == 2
         assert "no algorithm given" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_parse_error_exit_2_with_a_pool(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus"
+    main(["gen-corpus", str(corpus), "--n", "2", "--max-states", "3"])
+    (corpus / "lang_bad.aut").write_text("nonsense\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_usable_cpu_count", lambda: 2)
+    errors = []
+    for jobs in ("1", "2"):
+        assert main(["bench", str(corpus), "--algs", "lstar", "--jobs", jobs]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "parse error: line 1: expected 'key: value' form\n"
 
 
 def test_bench_empty_corpus_exit_3(tmp_path):

@@ -2,11 +2,14 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    canonical_digest,
     empty_lang,
     ends_a,
     even_a,
+    learner_digest,
     minimal_dfas,
     nth_from_end_nfa,
+    pinned_targets,
     starts_a,
     table_from_bits,
     third_from_end_a,
@@ -22,7 +25,7 @@ from rfsalearn.automata import (
     trim,
     word,
 )
-from rfsalearn.cli import generate_corpus
+from rfsalearn.cli import ALGORITHMS, generate_corpus
 from rfsalearn.learners import (
     DiagnosticError,
     lstar_col,
@@ -40,6 +43,26 @@ ALL_LEARNERS = [lstar_col, nlstar, two_step_reversal, two_step_prime_contexts]
 
 def canon(a):
     return minimize(determinize(a))
+
+
+# SHA-256 digests of ``helpers.learner_digest`` per learner and of
+# ``helpers.canonical_digest``, over ``helpers.pinned_targets()``.  A change
+# that keeps every hypothesis, table dump, counter, query word and
+# counterexample byte-identical keeps these.
+PINNED_DIGESTS = {
+    "lstar": "9ced016f2e58414c4c3f28ae8c5d46f0b9e5390ab773fcd3c4167bfd6cf339e5",
+    "nlstar": "da62bd4ed2d56ba51a37df4ca3c17a2a16119c087079a03c6fe4cc241eafabc8",
+    "rev2step": "957a8dc84b9904c20f49f13c2f7fa7b5778ea3373d97e9f8e6235c927d13eee2",
+    "prime2step": "dec50d19fe3872891b42a53cd9876492c233953e5be3f96766effaa9bfcc35c5",
+    "canonical": "681fe47d42c8cb81dde269883ae5fa3b62ec3df06ab73853691e8a0b60a35d8f",
+}
+
+
+def test_outputs_match_pinned_digests():
+    targets = pinned_targets()
+    got = {name: learner_digest(learner, targets) for name, learner in ALGORITHMS.items()}
+    got["canonical"] = canonical_digest(targets)
+    assert got == PINNED_DIGESTS
 
 
 # ------------------------------------------------------------------ALL correct

@@ -13,6 +13,7 @@ from helpers import (
     ends_a,
     even_a,
     obviously_different,
+    reference_consistency_fix,
     reference_transpose,
     row_includes,
     table_for,
@@ -315,6 +316,21 @@ def test_add_red_requires_prefix():
     t = ObservationTable(AB)
     with pytest.raises(ContractError):
         t.add_red(word("ab"))
+
+
+def test_mutations_reject_foreign_symbols():
+    lang = ends_a()
+    t = ObservationTable(lang.alphabet)
+    t.fill(TeacherSession(lang))
+    before = t.dump()
+    with pytest.raises(ContractError):
+        t.add_red(("z",))
+    with pytest.raises(InputError, match="^symbol 'q' not in alphabet$"):
+        t.add_context(("a", "q"))
+    assert t.dump() == before and t.contexts == ((),)
+    teacher = RecordingTeacher(lang)
+    t.fill(teacher)
+    assert teacher.asked == []
 
 
 def test_rows_without_contexts_have_no_unset_cells():
@@ -621,6 +637,27 @@ def test_table_key_picks_the_rank_reference_violators():
             assert t.is_rfsa_closed() == min(violators, key=key, default=None)
             reps = reference_least_per_value(t.red, t.row, key)
             assert t.ncov_red() == tuple(s for s in reps if not t.is_row_coverable(s, t.words()))
+
+
+def test_consistency_checks_match_brute_force_reference():
+    fixes = {False: 0, True: 0}
+    for lang in (ends_a(), even_a(), third_from_end_a(), multi_letter_lang()):
+        for t in random_tables(lang, 40, seed=11):
+            for rfsa, check in ((False, t.is_consistent), (True, t.is_rfsa_consistent)):
+                expected = reference_consistency_fix(t, rfsa)
+                assert check() == expected
+                fixes[rfsa] += expected is not None
+    assert all(fixes.values())  # the tables do break both conditions
+
+
+def test_consistency_checks_need_a_filled_table_once_rows_are_related():
+    # ε and a share a row and their filled a-extensions give a fix, but the
+    # extension rows of the newly promoted b (a row of its own) are unset.
+    t = table_from_bits(["", "a", "aa"], ["", "b"], [[0, 0], [0, 0], [1, 0]], {word("b"): [0, 1]})
+    t.add_red(word("b"))
+    for check in (t.is_consistent, t.is_rfsa_consistent):
+        with pytest.raises(ContractError, match=r"^row \('b', 'a'\) not fully filled$"):
+            check()
 
 
 def test_table_key_picks_the_rank_reference_representatives():
