@@ -8,8 +8,10 @@ which keeps the closedness/coverability predicates cheap.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 
 from .automata import (
     EPSILON,
@@ -60,6 +62,29 @@ def _transpose(masks: list[int], width: int) -> list[int]:
     return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
+def _per_version(predicate):
+    """``predicate``, answered from the table's record while the table is unchanged.
+
+    The record holds the answers given at one table version; a mutation
+    bumps the version, which empties it at the next call.  A call that
+    raises records nothing.
+    """
+    name = predicate.__name__
+
+    @functools.wraps(predicate)
+    def recalled(table):
+        version, answers = table._answers
+        if version != table._version:
+            answers = {}
+            table._answers = (table._version, answers)
+        elif name in answers:
+            return answers[name]
+        answer = answers[name] = predicate(table)
+        return answer
+
+    return recalled
+
+
 class ObservationTable:
     """Membership observations for RED ∪ BLUE row words against a context list.
 
@@ -73,6 +98,16 @@ class ObservationTable:
     A row with unset cells maps, in ``_pending``, to the number of its set
     cells: contexts only ever append, so its unset cells are always a suffix.
     A row missing from ``_pending`` is full.
+
+    The predicates keep what they computed between calls.  Every mutation
+    that changes the table (a promotion, a new context, a ``fill`` that sets
+    cells) bumps a version, and ``is_consistent``, ``is_rfsa_closed``,
+    ``is_rfsa_consistent`` and ``ncov_red`` answer from a record of that
+    version while it is current.  ``is_closed`` keeps its red row values and
+    violators, and the RFSA predicates keep the set of non-coverable row
+    values: a call re-tests only the rows added since the last one, as row
+    values only grow in number until a context is added.  A new context
+    changes every row, so it drops both.
     """
 
     def __init__(self, alphabet):
@@ -89,6 +124,13 @@ class ObservationTable:
         # plus the rows filled or promoted since the last call.
         self._closed: tuple[set[int], list] | None = None
         self._dirty: list[Word] = []
+        # The non-coverable row values: (every row value, the non-coverable
+        # ones, the number of ``_cells`` entries read), or None until the next
+        # full computation.  Rows only append to ``_cells`` between contexts.
+        self._ncov: tuple[set[int], set[int], int] | None = None
+        # The table version and the predicates' answers at ``_answers[0]``.
+        self._version = 0
+        self._answers: tuple[int, dict] = (0, {})
         self._extend_blue(EPSILON)
 
     @classmethod
@@ -135,6 +177,7 @@ class ObservationTable:
         words = table.words()
         table._cells = dict(zip(words, rows_of(words)))
         table._pending = {}
+        table._version += 1
         return table
 
     # ------------------------------------------------------------------ views
@@ -207,6 +250,7 @@ class ObservationTable:
             raise ContractError(f"cannot promote {s!r}: it is not a blue word")
         self._red[s] = None
         del self._blue[s]
+        self._version += 1
         if s in self._pending:
             # Pending red rows keep their promotion order, as RED does.
             self._pending[s] = self._pending.pop(s)
@@ -230,8 +274,9 @@ class ObservationTable:
         if len(self._pending) < len(self._cells):  # some row had none
             pending = self._pending
             self._pending = {w: pending.get(w, width) for w in self.words()}
-        self._closed = None
+        self._closed = self._ncov = None
         self._dirty.clear()
+        self._version += 1
         return self
 
     def _pending_rows(self) -> list[Word]:
@@ -243,6 +288,8 @@ class ObservationTable:
         """Ask the teacher for every unset cell, in stored row/context order."""
         contexts = self._contexts
         width = len(contexts)
+        if self._pending:
+            self._version += 1
         for w in self._pending_rows():
             mask = self._cells[w]
             for j in range(self._pending[w], width):
@@ -256,6 +303,11 @@ class ObservationTable:
 
     # ------------------------------------------------------------ predicates
 
+    def _require_filled(self):
+        """Raise ``ContractError`` for the first row with unset cells, RED before BLUE."""
+        if self._pending:
+            raise ContractError(f"row {self._pending_rows()[0]!r} not fully filled")
+
     def is_closed(self) -> Word | None:
         """None when closed, else the least blue word matching no red row.
 
@@ -265,8 +317,7 @@ class ObservationTable:
         is: red values only grow until a context is added, which forces a
         full rescan.
         """
-        if self._pending:
-            raise ContractError(f"row {self._pending_rows()[0]!r} not fully filled")
+        self._require_filled()
         cells = self._cells
         if self._closed is None:
             red_values = {cells[s] for s in self._red}
@@ -289,9 +340,10 @@ class ObservationTable:
         return None
 
     def _extension_fix(self, pairs) -> Word | None:
-        """Least ``a·e`` with ``e`` in row(s·a) but not in row(t·a), over RED positions ``(s, t)``."""
-        if self._pending:
-            raise ContractError(f"row {self._pending_rows()[0]!r} not fully filled")
+        """Least ``a·e`` with ``e`` in row(s·a) but not in row(t·a), over RED positions ``(s, t)``.
+
+        Needs a filled table.
+        """
         for a in self._alphabet:  # one symbol's extension rows at a time
             succ = [self._cells[s + (a,)] for s in self._red]
             broken = 0
@@ -301,11 +353,16 @@ class ObservationTable:
                 return (a,) + self._contexts[(broken & -broken).bit_length() - 1]
         return None
 
+    @_per_version
     def is_consistent(self) -> Word | None:
         """None when consistent, else the least context ``a·e`` fixing a violation."""
-        masks = [self._mask(s) for s in self._red]
+        if self._pending and self._pending_rows()[0] in self._red:
+            self._require_filled()  # blue rows matter only once two red rows are equal
+        cells = self._cells
+        masks = [cells[s] for s in self._red]
         if len(set(masks)) == len(masks):  # no two red rows are equal
             return None
+        self._require_filled()
         # Both orders of each pair: the OR of ``&~`` is the XOR of the extension rows.
         pairs = [(i, j) for i, m in enumerate(masks) for j, n in enumerate(masks) if m == n and i != j]
         return self._extension_fix(pairs)
@@ -315,35 +372,63 @@ class ObservationTable:
         return is_covered(self._mask(s), {self._mask(c) for c in candidates})
 
     def _noncoverable_masks(self) -> set[int]:
-        values = {self._mask(w) for w in self.words()}
-        return {v for v in values if not is_covered(v, values)}
+        """The row values that are not the OR of the row values strictly inside them.
 
+        Needs a filled table.  Kept in ``_ncov`` between calls, where a call
+        decides only the values new since the last one and the kept values
+        with a new value strictly inside them; the others keep their answer.
+        It decides them in increasing order, each against the non-coverable
+        values found so far: a value strictly inside another is smaller, and
+        every row value is the OR of the non-coverable values inside it.
+        """
+        cells = self._cells
+        values, keep, seen = self._ncov or (set(), set(), 0)
+        if seen < len(cells):  # rows append to ``_cells``, and never change, until a new context
+            new = set(islice(cells.values(), seen, None)) - values
+            if new:
+                stale = {v for v in keep for d in new if d | v == v}
+                keep -= stale
+                for v in sorted(stale | new):
+                    if not is_covered(v, keep):
+                        keep.add(v)
+                values |= new
+            self._ncov = (values, keep, len(cells))
+        return keep
+
+    @_per_version
     def ncov_red(self) -> tuple[Word, ...]:
         """Least red representative of every non-coverable distinct red row."""
+        self._require_filled()
         keep = self._noncoverable_masks()
-        return tuple(s for m, s in _least_per_value(self._red, self._mask).items() if m in keep)
+        least = _least_per_value(self._red, self._cells.__getitem__)
+        return tuple(s for m, s in least.items() if m in keep)
 
+    @_per_version
     def is_rfsa_closed(self) -> Word | None:
         """None when every blue row is an OR of non-coverable red rows.
 
         Otherwise the least blue word whose row is non-coverable yet missing
         from RED, which is exactly the word the learner must promote.
         """
-        keep = self._noncoverable_masks()
-        red_values = {self._mask(s) for s in self._red}
-        violators = [s for s in self._blue if self._mask(s) in keep and self._mask(s) not in red_values]
-        if not violators:
+        self._require_filled()
+        cells = self._cells
+        missing = self._noncoverable_masks().difference([cells[s] for s in self._red])
+        if not missing:
             return None
-        return min(violators, key=_lex_key)
+        return min([s for s in self._blue if cells[s] in missing], key=_lex_key)
 
+    @_per_version
     def is_rfsa_consistent(self) -> Word | None:
         """None when row inclusion survives one-symbol extension, else the least fix ``a·e``."""
-        masks = [self._mask(s) for s in self._red]
+        self._require_filled()
+        cells = self._cells
+        masks = [cells[s] for s in self._red]
+        # A row is inside itself, but a pair (s, s) breaks nothing.
         pairs = [
             (i1, i2)
             for i1, m1 in enumerate(masks)
             for i2, m2 in enumerate(masks)
-            if m1 & ~m2 == 0
+            if m1 & ~m2 == 0 and i1 != i2
         ]
         return self._extension_fix(pairs)
 
@@ -550,15 +635,16 @@ def derive_rfsa(table: ObservationTable) -> Automaton:
         raise ContractError("the empty context is required")
     if EPSILON not in table._red:
         raise ContractError("red must contain the empty word")
-    masks = [table._mask(s) for s in reps]
+    cells = table._cells  # RFSA-closed, so filled
+    masks = [cells[s] for s in reps]
     eps_at = table._context_pos[EPSILON]
-    root = table._mask(EPSILON)
+    root = cells[EPSILON]
     initial = frozenset(i for i, m in enumerate(masks) if m & ~root == 0)
     final = frozenset(i for i, m in enumerate(masks) if (m >> eps_at) & 1)
     arcs = []
     for i, s in enumerate(reps):
         for a in table.alphabet:
-            succ = table._mask(s + (a,))
+            succ = cells[s + (a,)]
             for j, m in enumerate(masks):
                 if m & ~succ == 0:
                     arcs.append((i, a, j))

@@ -234,9 +234,12 @@ class ReferenceTable:
     """Observation table that recomputes everything from scratch.
 
     BLUE is rebuilt from RED after every promotion, ``fill`` scans every row
-    in stored order (RED, then BLUE) and ``is_closed`` rescans every blue row.
-    Rows are bit lists, one bit per context filled so far.  The incremental
-    ``ObservationTable`` must give the same answers, the same membership
+    in stored order (RED, then BLUE), and every predicate rescans the table:
+    ``is_closed`` every blue row, the RFSA predicates every row for the
+    non-coverable ones, and both consistency checks every pair of red rows
+    (through ``reference_consistency_fix``).  Rows are bit lists, one bit per
+    context filled so far.  The incremental ``ObservationTable`` must give
+    the same answers and ``ContractError`` messages, the same membership
     queries in the same order and the same dump.
     """
 
@@ -280,6 +283,47 @@ class ReferenceTable:
         red_rows = {self.row(s) for s in self.red}
         violators = [s for s in self.blue if self.row(s) not in red_rows]
         return min(violators, key=lambda w: (len(w), w), default=None)
+
+    def rows(self):
+        """Every row, RED then BLUE; raises for the first one with unset cells."""
+        return {w: self.row(w) for w in self.words()}
+
+    def noncoverable(self):
+        """The distinct rows that are not the bitwise OR of the rows strictly inside them."""
+        rows = set(self.rows().values())
+
+        def covered(r):
+            union = [0] * len(r)
+            for x in rows:
+                if x != r and all(a <= b for a, b in zip(x, r)):
+                    union = [u | a for u, a in zip(union, x)]
+            return tuple(union) == r
+
+        return {r for r in rows if not covered(r)}
+
+    def is_rfsa_closed(self):
+        keep = self.noncoverable()
+        red_rows = {self.row(s) for s in self.red}
+        violators = [s for s in self.blue if self.row(s) in keep and self.row(s) not in red_rows]
+        return min(violators, key=lambda w: (len(w), w), default=None)
+
+    def ncov_red(self):
+        keep = self.noncoverable()
+        least = {}
+        for s in sorted(self.red, key=lambda w: (len(w), w)):
+            least.setdefault(self.row(s), s)
+        return tuple(s for r, s in least.items() if r in keep)
+
+    def is_consistent(self):
+        red_rows = [self.row(s) for s in self.red]
+        if len(set(red_rows)) == len(red_rows):
+            return None
+        self.rows()
+        return reference_consistency_fix(self)
+
+    def is_rfsa_consistent(self):
+        self.rows()
+        return reference_consistency_fix(self, rfsa=True)
 
     def dump(self):
         def label(w):

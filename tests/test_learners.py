@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 
@@ -63,6 +65,48 @@ def test_outputs_match_pinned_digests():
     got = {name: learner_digest(learner, targets) for name, learner in ALGORITHMS.items()}
     got["canonical"] = canonical_digest(targets)
     assert got == PINNED_DIGESTS
+
+
+def test_table_scans_run_once_per_table_version(monkeypatch):
+    # Each scan is logged with its table and the table's version: a
+    # non-coverable computation when it replaces the kept set, an extension
+    # scan on every call, and a recorded predicate when its body runs rather
+    # than its record answering.  After ``lstar_col``'s loop, ``derive_dfa``
+    # checks consistency again at the version the loop's last check saw.
+    scans = []
+    noncoverable = ObservationTable._noncoverable_masks
+    extension_fix = ObservationTable._extension_fix
+
+    def counted_noncoverable(table):
+        kept = table._ncov
+        answer = noncoverable(table)
+        if table._ncov is not kept:
+            scans.append(("noncoverable", table, table._version))
+        return answer
+
+    def counted_extension_fix(table, pairs):
+        scans.append(("extension", table, table._version))
+        return extension_fix(table, pairs)
+
+    monkeypatch.setattr(ObservationTable, "_noncoverable_masks", counted_noncoverable)
+    monkeypatch.setattr(ObservationTable, "_extension_fix", counted_extension_fix)
+    for name in ("is_consistent", "is_rfsa_closed", "is_rfsa_consistent", "ncov_red"):
+        body = getattr(ObservationTable, name).__wrapped__
+
+        @functools.wraps(body)
+        def scanned(table, body=body):
+            scans.append((body.__name__, table, table._version))
+            return body(table)
+
+        monkeypatch.setattr(ObservationTable, name, tables._per_version(scanned))
+
+    for target in pinned_targets():
+        for learner in (lstar_col, nlstar, two_step_prime_contexts):
+            learner(TeacherSession(target))
+    assert {kind for kind, _, _ in scans} == {
+        "noncoverable", "extension", "is_consistent", "is_rfsa_closed", "is_rfsa_consistent", "ncov_red"
+    }
+    assert len(set(scans)) == len(scans)
 
 
 # ------------------------------------------------------------------ALL correct
