@@ -2,8 +2,10 @@
 
 A single ``Automaton`` type covers DFAs, NFAs and partial machines; the
 ``is_deterministic`` / ``is_total`` properties report which contracts a given
-value happens to satisfy.  Values are frozen and every construction returns a
-fresh automaton, so they are safe to share between threads or processes.
+value happens to satisfy.  Values are frozen, so they are safe to share
+between threads or processes.  Every construction returns a fresh automaton,
+except that ``minimize`` returns an input that is already its own canonical
+minimal DFA.
 """
 from __future__ import annotations
 
@@ -314,7 +316,8 @@ def minimize(dfa: Automaton) -> Automaton:
 
     States are numbered in breadth-first order from the start state over the
     sorted alphabet, so two inputs with the same language produce identical
-    values.  An input that is not a total DFA is determinized first.
+    values.  An input that is not a total DFA is determinized first.  A total
+    DFA that already is its own canonical minimal DFA is returned as it is.
     """
     if not (dfa.is_total and dfa.is_deterministic):
         dfa = determinize(dfa)
@@ -339,6 +342,8 @@ def minimize(dfa: Automaton) -> Automaton:
         return [(a, cls[row[rep[c]]]) for a, row in zip(symbols, delta)]
 
     number = {c: i for i, (c, _) in enumerate(least_words((cls[q0],), class_arcs))}
+    if len(number) == n and all(number[c] == q for q, c in enumerate(cls)):
+        return dfa  # each state is its own class, numbered as it is: already canonical
     arcs = [(number[c], a, number[t]) for c in number for a, t in class_arcs(c)]
     out_final = frozenset(number[c] for c in number if rep[c] in dfa.final)
     return Automaton(symbols, len(number), frozenset({0}), out_final, tuple(arcs))
@@ -447,6 +452,8 @@ class _ResidualOrder:
         self.alphabet = dfa.alphabet
         self.n = dfa.n_states
         self.delta = dfa._delta
+        # (symbol, successor row) pairs in alphabet order, for the walks.
+        self.steps = tuple(zip(self.alphabet, self.delta))
         self.final_mask = sum(1 << q for q in dfa.final)
 
     @functools.cached_property
@@ -484,17 +491,20 @@ class _ResidualOrder:
         Every shortest witness steps to a pair one closer to the seeds, so
         taking the least symbol that does so at each step gives the least one.
         """
+        d = self.dist[p][q]
+        return None if d < 0 else self._walk(p, q, d)
+
+    def _walk(self, p: int, q: int, d: int) -> Word:
+        """The least witness of length ``d`` for (p, q); ``d`` must be ``dist[p][q]`` ≥ 0."""
         dist = self.dist
-        d = dist[p][q]
-        if d < 0:
-            return None
         out = []
         while d > 0:
             d -= 1
-            for a, row in zip(self.alphabet, self.delta):
-                if dist[row[p]][row[q]] == d:
+            for a, row in self.steps:
+                p2, q2 = row[p], row[q]
+                if dist[p2][q2] == d:
                     out.append(a)
-                    p, q = row[p], row[q]
+                    p, q = p2, q2
                     break
         return tuple(out)
 
@@ -507,7 +517,7 @@ class _ResidualOrder:
         word the state accepts the mask accepts too.
         """
         below = sum(1 << p for p in range(self.n) if p != q and includes[p][q])
-        final, steps = self.final_mask, tuple(zip(self.alphabet, self.delta))
+        final, steps = self.final_mask, self.steps
 
         def successors(node):
             s, mask = node

@@ -101,10 +101,10 @@ def _residual_order_contexts(auto: Automaton) -> list[Word]:
     is what reading an RFSA off the finished table requires.
     """
     order = _ResidualOrder(auto)
-    includes = [[d < 0 for d in row] for row in order.dist]
-    n = auto.n_states
-    contexts = [order.witness(p, q) for p in range(n) for q in range(n) if not includes[p][q]]
-    for q in range(n):
+    dist = order.dist
+    includes = [[d < 0 for d in row] for row in dist]
+    contexts = [order._walk(p, q, d) for p, row in enumerate(dist) for q, d in enumerate(row) if d >= 0]
+    for q in range(auto.n_states):
         witness = order.excess_witness(q, includes)
         if witness is not None:
             contexts.append(witness)
@@ -157,27 +157,32 @@ def two_step_prime_contexts(teacher) -> LearnerResult:
 
     For every state and every accepting state of the row automaton, the
     shortest word leading from one to the other becomes a context
-    (unreachable pairs are skipped, duplicates are no-ops).  After filling
-    those cells the table is reduced by dropping all-zero rows and columns and
-    must satisfy the weakened closedness/consistency conditions; the answer is
-    read off it without any further equivalence query.
+    (unreachable pairs are skipped), and so does every witness of the row
+    automaton's residual order.  The row automaton's arc lists are built
+    once for all the pinning searches, and each distinct context is added
+    once, in order of first occurrence.  After filling those cells the table
+    is reduced by dropping all-zero rows and columns and must satisfy the
+    weakened closedness/consistency conditions; the answer is read off it
+    without any further equivalence query.
     """
     first = lstar_col(teacher)
     table = first.final_table
     # ``lstar_col`` derived its hypothesis from this very table, so it is the
     # row automaton, with states numbered as their rows first appear in RED.
     row_auto = first.hypothesis
+    arcs = [row_auto._arcs(q) for q in range(row_auto.n_states)]
+    finals = sorted(row_auto.final)
+    contexts = []
     for start in range(row_auto.n_states):
-        reach = dict(least_words((start,), row_auto._arcs))
-        for target in sorted(row_auto.final):
-            if target in reach:
-                table.add_context(reach[target])
+        reach = dict(least_words((start,), arcs.__getitem__))
+        contexts += [reach[target] for target in finals if target in reach]
 
     # Pinning contexts alone do not make row order mirror residual inclusion,
     # so a prime row could still look like the OR of rows below it and drop
     # out of the derived machine.  Witness the residual structure of the
     # verified row automaton explicitly; this costs membership queries only.
-    for context in _residual_order_contexts(row_auto):
+    contexts += _residual_order_contexts(row_auto)
+    for context in dict.fromkeys(contexts):
         table.add_context(context)
     table.fill(teacher)
 

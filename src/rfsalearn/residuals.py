@@ -52,8 +52,7 @@ def _minimal_includes(l_dfa: Automaton) -> tuple[tuple[bool, ...], ...]:
         order = _ResidualOrder(l_dfa)
     except ContractError:
         raise error from None
-    steps = tuple(zip(l_dfa.alphabet, order.delta))
-    walk = least_words((0,), lambda q: [(a, row[q]) for a, row in steps])
+    walk = least_words((0,), lambda q: [(a, row[q]) for a, row in order.steps])
     if [q for q, _ in walk] != list(range(l_dfa.n_states)):
         raise error
     includes = tuple(tuple(d < 0 for d in row) for row in order.dist)

@@ -508,11 +508,19 @@ def derive_dfa(table: ObservationTable) -> Automaton:
 
 
 def _restrict(table: ObservationTable, red, positions) -> ObservationTable:
-    """Table over ``red`` and the contexts of ``table`` at ``positions``, in that order."""
+    """Table over ``red`` and the contexts of ``table`` at ``positions``, in that order.
+
+    When ``positions`` keeps every context in place, the rows are the masks
+    of ``table`` unchanged and nothing is transposed.
+    """
     contexts = table.contexts
+    every = list(positions) == list(range(len(contexts)))
 
     def rows_of(words):
-        columns = _transpose([table._mask(w) for w in words], len(contexts))
+        masks = [table._mask(w) for w in words]
+        if every:
+            return masks
+        columns = _transpose(masks, len(contexts))
         return _transpose([columns[j] for j in positions], len(words))
 
     return ObservationTable._build(table.alphabet, red, [contexts[j] for j in positions], rows_of)
@@ -653,8 +661,10 @@ def derive_rfsa(table: ObservationTable) -> Automaton:
 
 def drop_zero_rows_and_columns(table: ObservationTable) -> ObservationTable:
     """Remove red words with all-zero rows and contexts with all-zero columns."""
-    red = [s for s in table.red if table._mask(s)]
+    table._require_filled()
+    cells = table._cells  # one mask per row word, each a full row now
+    red = [s for s in table._red if cells[s]]
     used = 0
-    for w in table.words():
-        used |= table._mask(w)
-    return _restrict(table, red, [j for j in range(len(table.contexts)) if (used >> j) & 1])
+    for mask in cells.values():
+        used |= mask
+    return _restrict(table, red, [j for j in range(len(table._contexts)) if (used >> j) & 1])

@@ -177,8 +177,43 @@ def test_minimize_requires_deterministic():
 
 
 def test_minimize_idempotent():
-    m = minimize(even_a())
-    assert minimize(m) == m
+    # A canonical minimal DFA comes back as the same object.
+    for a in (even_a(), ends_a(), empty_lang(), nfa_ends_a(), *nth_end_dfas()):
+        m = minimize(a)
+        assert minimize(m) is m
+
+
+def test_minimize_renumbers_a_permuted_minimal_dfa():
+    m = minimize(determinize(nth_from_end_nfa(4)))
+    n = m.n_states
+    flip = n - 1  # q -> n-1-q: still minimal, no longer numbered breadth-first
+    permuted = Automaton(
+        m.alphabet,
+        n,
+        {flip - q for q in m.initial},
+        {flip - q for q in m.final},
+        [(flip - q, a, flip - r) for q, a, ts in m.transitions for r in ts],
+    )
+    out = minimize(permuted)
+    assert out is not permuted and permuted != m
+    assert out == m
+
+
+@st.composite
+def total_dfas(draw):
+    """Random total DFAs over 1-3 letters with up to 8 states and any start state."""
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 8))
+    arcs = [(q, a, draw(st.integers(0, n - 1))) for q in range(n) for a in alphabet]
+    final = draw(st.sets(st.integers(0, n - 1)))
+    return Automaton(alphabet, n, {draw(st.integers(0, n - 1))}, final, arcs)
+
+
+@given(total_dfas())
+@settings(max_examples=150, deadline=None)
+def test_minimize_is_idempotent_on_random_dfas(dfa):
+    m = minimize(dfa)
+    assert minimize(m) is m
 
 
 def test_minimize_merges_duplicate_state():

@@ -12,6 +12,7 @@ from helpers import (
     minimal_dfas,
     nth_from_end_nfa,
     pinned_targets,
+    reference_residual_order_contexts,
     starts_a,
     table_from_bits,
     third_from_end_a,
@@ -21,6 +22,7 @@ from rfsalearn import learners, tables
 from rfsalearn.automata import (
     determinize,
     isomorphic,
+    least_words,
     minimize,
     reverse_automaton,
     shortest_difference_witness,
@@ -65,6 +67,16 @@ def test_outputs_match_pinned_digests():
     got = {name: learner_digest(learner, targets) for name, learner in ALGORITHMS.items()}
     got["canonical"] = canonical_digest(targets)
     assert got == PINNED_DIGESTS
+
+
+# ``helpers.learner_digest`` of ``two_step_prime_contexts`` on the 6th-from-end
+# language, the largest nth-end bench case; ``pinned_targets`` stops at n = 5.
+PRIME2STEP_6TH_FROM_END_DIGEST = "ae0609a0ee65879642ddaccc030b8561ffd51119816ec1839730692743c0631f"
+
+
+def test_prime2step_on_6th_from_end_matches_pinned_digest():
+    target = canon(nth_from_end_nfa(6))
+    assert learner_digest(two_step_prime_contexts, [target]) == PRIME2STEP_6TH_FROM_END_DIGEST
 
 
 def test_table_scans_run_once_per_table_version(monkeypatch):
@@ -296,6 +308,66 @@ def test_two_step_prime_contexts_derives_once_per_round(monkeypatch):
         calls.clear()
         result = two_step_prime_contexts(TeacherSession(target))
         assert len(calls) == result.iterations
+
+
+def reference_second_step_contexts(row_auto):
+    """prime2step's second-step contexts in the order it adds them, duplicates included.
+
+    One pinning search per start state over ``Automaton._arcs``, to every
+    final in ascending order, then the per-pair reference witnesses of the
+    residual order.
+    """
+    contexts = []
+    for start in range(row_auto.n_states):
+        reach = dict(least_words((start,), row_auto._arcs))
+        for target in sorted(row_auto.final):
+            if target in reach:
+                contexts.append(reach[target])
+    return contexts + reference_residual_order_contexts(row_auto)
+
+
+def check_second_step_contexts(monkeypatch, target):
+    """Run prime2step on ``target``; its second step adds each distinct context once, in order."""
+    firsts, added, completed = [], [], []
+
+    def first_step(teacher):
+        result = lstar_col(teacher)
+        firsts.append((result.hypothesis, result.final_table.contexts))
+        return result
+
+    def counted_add_context(table, e):
+        if firsts:  # the second step has begun
+            added.append(tuple(e))
+        return add_context(table, e)
+
+    def reduce(table):
+        completed.append(table)
+        return drop_zero_rows_and_columns(table)
+
+    add_context = ObservationTable.add_context
+    drop_zero_rows_and_columns = learners.drop_zero_rows_and_columns
+    with monkeypatch.context() as patch:
+        patch.setattr(learners, "lstar_col", first_step)
+        patch.setattr(ObservationTable, "add_context", counted_add_context)
+        patch.setattr(learners, "drop_zero_rows_and_columns", reduce)
+        result = two_step_prime_contexts(TeacherSession(target))
+    ((row_auto, first_contexts),) = firsts
+    expected = list(dict.fromkeys(reference_second_step_contexts(row_auto)))
+    assert added == expected
+    (table,) = completed
+    assert list(table.contexts) == list(dict.fromkeys(first_contexts + tuple(expected)))
+    used = [e for e in table.contexts if any(table.obs(w, e) for w in table.words())]
+    assert list(result.final_table.contexts) == used
+
+
+def test_second_step_contexts_match_reference_on_pinned_targets(monkeypatch):
+    for target in pinned_targets():
+        check_second_step_contexts(monkeypatch, target)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_second_step_contexts_match_reference_on_nth_from_end(monkeypatch, n):
+    check_second_step_contexts(monkeypatch, canon(nth_from_end_nfa(n)))
 
 
 def test_two_step_prime_contexts_diagnoses_a_bad_completed_table(monkeypatch):

@@ -27,6 +27,7 @@ from rfsalearn.learners import lstar_col
 from rfsalearn.tables import (
     ObservationTable,
     _least_per_value,
+    _restrict,
     _transpose,
     apply_modifications,
     derive_rfsa,
@@ -532,16 +533,73 @@ def test_even_a_reversal_reduction_keeps_two_columns():
     assert len(res.final_table.table.contexts) == 2
 
 
-def test_drop_zero_rows_and_columns():
-    t = table_from_bits(
+def zero_row_and_column_table():
+    return table_from_bits(
         ["", "a"],
         ["", "a"],
         [[0, 0], [1, 0]],
         blue_bits={word("aa"): [1, 0], word("ab"): [0, 0], word("b"): [0, 0]},
     )
-    reduced = drop_zero_rows_and_columns(t)
+
+
+def test_drop_zero_rows_and_columns():
+    reduced = drop_zero_rows_and_columns(zero_row_and_column_table())
     assert list(reduced.red) == [word("a")]
     assert list(reduced.contexts) == [()]
+
+
+def table_view(table):
+    """RED, BLUE, contexts and every row as a bit tuple."""
+    return list(table.red), list(table.blue), list(table.contexts), {w: table.row(w) for w in table.words()}
+
+
+def reference_restrict(table, red, positions):
+    """``table_view`` of the restriction of ``table``, read off its bit lists."""
+    red = [tuple(s) for s in red]
+    blue = [r + (a,) for r in red for a in table.alphabet if r + (a,) not in red]
+    rows = {w: tuple(table.row(w)[j] for j in positions) for w in red + blue}
+    return red, blue, [table.contexts[j] for j in positions], rows
+
+
+def reference_drop_zero_rows_and_columns(table):
+    width = len(table.contexts)
+    red = [s for s in table.red if any(table.row(s))]
+    used = [j for j in range(width) if any(table.row(w)[j] for w in table.words())]
+    return reference_restrict(table, red, used)
+
+
+def reduction_tables():
+    """One table whose columns are all used, one with an all-zero row and column."""
+    every_used = table_for(third_from_end_a(), ["", "a", "aa", "ab", "b"], ["", "a", "b", "ab", "bb"])
+    return every_used, zero_row_and_column_table()
+
+
+def test_drop_zero_rows_and_columns_matches_bit_list_reference():
+    every_used, one_unused = reduction_tables()
+    for table, kept in ((every_used, 5), (one_unused, 1)):
+        reduced = drop_zero_rows_and_columns(table)
+        assert len(reduced.contexts) == kept
+        assert table_view(reduced) == reference_drop_zero_rows_and_columns(table)
+
+
+def test_restrict_matches_bit_list_reference():
+    for table in reduction_tables():
+        width = len(table.contexts)
+        red = table.red[:2]
+        for positions in (list(range(width)), list(range(width))[::-1], [0, width - 1]):
+            restricted = _restrict(table, red, positions)
+            assert table_view(restricted) == reference_restrict(table, red, positions)
+
+
+def test_drop_zero_rows_and_columns_rejects_an_unfilled_table():
+    t = ObservationTable(AB)
+    t.fill(TeacherSession(even_a()))
+    t.add_red(word("a"))  # new blue rows aa and ab have unset cells
+    with pytest.raises(ContractError, match=r"^row \('a', 'a'\) not fully filled$"):
+        drop_zero_rows_and_columns(t)
+    t.add_context(word("b"))  # now every row has one
+    with pytest.raises(ContractError, match=r"^row \(\) not fully filled$"):
+        drop_zero_rows_and_columns(t)
 
 
 # -------------------------------------------------------------------- deriving
