@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from itertools import islice
 
 from .automata import (
     EPSILON,
@@ -62,21 +61,29 @@ def _transpose(masks: list[int], width: int) -> list[int]:
     return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
+def _in_alphabet(w: Word, symbols) -> Word:
+    """``w``, once every symbol of it is in the set ``symbols``."""
+    for a in w:
+        if a not in symbols:
+            raise InputError(f"symbol {a!r} not in alphabet")
+    return w
+
+
 def _per_version(predicate):
     """``predicate``, answered from the table's record while the table is unchanged.
 
-    The record holds the answers given at one table version; a mutation
-    bumps the version, which empties it at the next call.  A call that
-    raises records nothing.
+    The record holds the answers given while the table's change log was one
+    list of one length; an entry or a new log empties it at the next call.
+    A call that raises records nothing.
     """
     name = predicate.__name__
 
     @functools.wraps(predicate)
     def recalled(table):
-        version, answers = table._answers
-        if version != table._version:
+        log, seen, answers = table._answers
+        if log is not table._log or seen != len(log):
             answers = {}
-            table._answers = (table._version, answers)
+            table._answers = (table._log, len(table._log), answers)
         elif name in answers:
             return answers[name]
         answer = answers[name] = predicate(table)
@@ -99,19 +106,19 @@ class ObservationTable:
     cells: contexts only ever append, so its unset cells are always a suffix.
     A row missing from ``_pending`` is full.
 
-    The predicates keep what they computed between calls.  Every mutation
-    that changes the table (a promotion, a new context, a ``fill`` that sets
-    cells) bumps a version, and ``is_consistent``, ``is_rfsa_closed``,
-    ``is_rfsa_consistent`` and ``ncov_red`` answer from a record of that
-    version while it is current.  ``is_closed`` keeps its red row values and
-    violators, and the RFSA predicates keep the set of non-coverable row
-    values: a call re-tests only the rows added since the last one, as row
-    values only grow in number until a context is added.  A new context
-    changes every row, so it drops both.
+    The table records its changes in one append-only log, ``_log``: the rows
+    filled or promoted since the last new context, in order.  A new context
+    changes every row, so it starts a fresh log, which ``fill`` then fills
+    with every row.  The predicates keep what they computed between calls
+    together with the log they read and how far: ``is_closed`` its red row
+    values and violators, the RFSA predicates the non-coverable row values,
+    and ``is_consistent``, ``is_rfsa_closed``, ``is_rfsa_consistent`` and
+    ``ncov_red`` their answers.  A call reads only the entries added since
+    the last one, and starts afresh on a new log.
     """
 
     def __init__(self, alphabet):
-        self._alphabet, _ = _checked_alphabet(tuple(alphabet))
+        self._alphabet, self._symbols = _checked_alphabet(tuple(alphabet))
         self._contexts: list[Word] = [EPSILON]
         self._context_pos = {EPSILON: 0}
         self._cells: dict[Word, int] = {EPSILON: 0}
@@ -119,18 +126,12 @@ class ObservationTable:
         self._red: dict[Word, None] = {EPSILON: None}
         self._blue: dict[Word, None] = {}
         self._pending: dict[Word, int] = {EPSILON: 0}
-        # ``is_closed``'s state between calls: the red row values and a heap
-        # of (possibly stale) violators, or None until the next full rescan;
-        # plus the rows filled or promoted since the last call.
-        self._closed: tuple[set[int], list] | None = None
-        self._dirty: list[Word] = []
-        # The non-coverable row values: (every row value, the non-coverable
-        # ones, the number of ``_cells`` entries read), or None until the next
-        # full computation.  Rows only append to ``_cells`` between contexts.
-        self._ncov: tuple[set[int], set[int], int] | None = None
-        # The table version and the predicates' answers at ``_answers[0]``.
-        self._version = 0
-        self._answers: tuple[int, dict] = (0, {})
+        self._log: list[Word] = []
+        # Each kept computation, after the log it read and how far: the red
+        # row values and a heap of (possibly stale) violators; every row
+        # value and the non-coverable ones; the recorded answers.
+        self._closed = self._ncov = (None, 0, None, None)
+        self._answers = (None, 0, {})
         self._extend_blue(EPSILON)
 
     @classmethod
@@ -140,14 +141,15 @@ class ObservationTable:
         ``rows`` maps every word of RED ∪ (RED·Σ \\ RED) to its bit sequence,
         one bit per context.
         """
-        given = [tuple(s) for s in red]
+        symbols = _checked_alphabet(tuple(alphabet))[1]
+        given = [_in_alphabet(tuple(s), symbols) for s in red]
         red = dict.fromkeys(given)
         if len(red) != len(given):
             raise InputError("duplicate red word")
         for s in red:
             if s != EPSILON and s[:-1] not in red:
                 raise ContractError(f"red is not prefix-closed at {s!r}")
-        contexts = [tuple(e) for e in contexts]
+        contexts = [_in_alphabet(tuple(e), symbols) for e in contexts]
         if len(set(contexts)) != len(contexts):
             raise InputError("duplicate context")
 
@@ -177,7 +179,7 @@ class ObservationTable:
         words = table.words()
         table._cells = dict(zip(words, rows_of(words)))
         table._pending = {}
-        table._version += 1
+        table._log = list(words)
         return table
 
     # ------------------------------------------------------------------ views
@@ -250,12 +252,10 @@ class ObservationTable:
             raise ContractError(f"cannot promote {s!r}: it is not a blue word")
         self._red[s] = None
         del self._blue[s]
-        self._version += 1
         if s in self._pending:
             # Pending red rows keep their promotion order, as RED does.
             self._pending[s] = self._pending.pop(s)
-        if self._closed is not None:
-            self._dirty.append(s)
+        self._log.append(s)
         self._extend_blue(s)
         return self
 
@@ -264,9 +264,7 @@ class ObservationTable:
         e = tuple(e)
         if e in self._context_pos:
             return self
-        for a in e:
-            if a not in self._alphabet:
-                raise InputError(f"symbol {a!r} not in alphabet")
+        _in_alphabet(e, self._symbols)
         width = len(self._contexts)
         self._context_pos[e] = width
         self._contexts.append(e)
@@ -274,9 +272,7 @@ class ObservationTable:
         if len(self._pending) < len(self._cells):  # some row had none
             pending = self._pending
             self._pending = {w: pending.get(w, width) for w in self.words()}
-        self._closed = self._ncov = None
-        self._dirty.clear()
-        self._version += 1
+        self._log = []
         return self
 
     def _pending_rows(self) -> list[Word]:
@@ -288,8 +284,6 @@ class ObservationTable:
         """Ask the teacher for every unset cell, in stored row/context order."""
         contexts = self._contexts
         width = len(contexts)
-        if self._pending:
-            self._version += 1
         for w in self._pending_rows():
             mask = self._cells[w]
             for j in range(self._pending[w], width):
@@ -297,8 +291,7 @@ class ObservationTable:
                     mask |= 1 << j
             self._cells[w] = mask
             del self._pending[w]
-            if self._closed is not None:
-                self._dirty.append(w)
+            self._log.append(w)
         return self
 
     # ------------------------------------------------------------ predicates
@@ -312,26 +305,22 @@ class ObservationTable:
         """None when closed, else the least blue word matching no red row.
 
         Between calls the red row values and a length-lex heap of violators are
-        kept, so a call re-tests only the rows filled or promoted since the
-        last one.  A row leaves the heap lazily, once it is red or its value
-        is: red values only grow until a context is added, which forces a
-        full rescan.
+        kept, so a call re-tests only the rows the log names since the last
+        one.  A row leaves the heap lazily, once it is red or its value is:
+        red values only grow while the log is the same list.
         """
         self._require_filled()
-        cells = self._cells
-        if self._closed is None:
-            red_values = {cells[s] for s in self._red}
-            heap = [_lex_key(w) for w in self._blue if cells[w] not in red_values]
-            heapq.heapify(heap)
-            self._closed = (red_values, heap)
-        else:
-            red_values, heap = self._closed
-            for w in self._dirty:
+        cells, log = self._cells, self._log
+        kept, seen, red_values, heap = self._closed
+        if kept is not log:
+            seen, red_values, heap = 0, set(), []
+        if seen < len(log):
+            for w in log[seen:]:
                 if w in self._red:
                     red_values.add(cells[w])
                 elif cells[w] not in red_values:
                     heapq.heappush(heap, _lex_key(w))
-        self._dirty.clear()
+            self._closed = (log, len(log), red_values, heap)
         while heap:
             w = heap[0][1]
             if cells[w] not in red_values:  # so ``w`` is still blue
@@ -375,16 +364,19 @@ class ObservationTable:
         """The row values that are not the OR of the row values strictly inside them.
 
         Needs a filled table.  Kept in ``_ncov`` between calls, where a call
-        decides only the values new since the last one and the kept values
-        with a new value strictly inside them; the others keep their answer.
+        decides only the values of the rows the log names since the last one
+        and the kept values with a new value strictly inside them; the others
+        keep their answer.
         It decides them in increasing order, each against the non-coverable
         values found so far: a value strictly inside another is smaller, and
         every row value is the OR of the non-coverable values inside it.
         """
-        cells = self._cells
-        values, keep, seen = self._ncov or (set(), set(), 0)
-        if seen < len(cells):  # rows append to ``_cells``, and never change, until a new context
-            new = set(islice(cells.values(), seen, None)) - values
+        cells, log = self._cells, self._log
+        kept, seen, values, keep = self._ncov
+        if kept is not log:
+            seen, values, keep = 0, set(), set()
+        if seen < len(log):
+            new = {cells[w] for w in log[seen:]} - values
             if new:
                 stale = {v for v in keep for d in new if d | v == v}
                 keep -= stale
@@ -392,7 +384,7 @@ class ObservationTable:
                     if not is_covered(v, keep):
                         keep.add(v)
                 values |= new
-            self._ncov = (values, keep, len(cells))
+            self._ncov = (log, len(log), values, keep)
         return keep
 
     @_per_version

@@ -45,6 +45,24 @@ def test_observation_table_checks_the_alphabet_like_automaton():
         assert str(info.value) == message
 
 
+def test_observation_table_rejects_foreign_symbols_like_add_context():
+    rows = {(): [0], ("a",): [1], ("b",): [0]}
+    # (red, contexts, the symbol named): the first foreign symbol, red words first.
+    for red, contexts, symbol in [
+        ([()], [("c",)], "c"),
+        ([(), ("z",)], [()], "z"),
+        ([(), ("z",)], [("c",)], "z"),
+        ([()], [(), ("a", "z", "c")], "z"),
+    ]:
+        with pytest.raises(InputError) as info:
+            ObservationTable.from_rows(AB, red, contexts, rows)
+        assert str(info.value) == f"symbol {symbol!r} not in alphabet"
+    for context, symbol in [(("c",), "c"), (("a", "z", "c"), "z")]:
+        with pytest.raises(InputError) as info:
+            ObservationTable(AB).add_context(context)
+        assert str(info.value) == f"symbol {symbol!r} not in alphabet"
+
+
 def test_bad_alphabet_raises_on_every_call():
     for _ in range(2):
         rejects("bad alphabet symbol ''", alphabet=("b", ""))

@@ -80,24 +80,30 @@ def test_prime2step_on_6th_from_end_matches_pinned_digest():
 
 
 def test_table_scans_run_once_per_table_version(monkeypatch):
-    # Each scan is logged with its table and the table's version: a
-    # non-coverable computation when it replaces the kept set, an extension
-    # scan on every call, and a recorded predicate when its body runs rather
-    # than its record answering.  After ``lstar_col``'s loop, ``derive_dfa``
-    # checks consistency again at the version the loop's last check saw.
+    # Each scan is logged with its table and the table's state, the identity
+    # and length of its change log: a non-coverable computation when it
+    # replaces the kept tuple, an extension scan on every call, and a
+    # recorded predicate when its body runs rather than its record
+    # answering.  After ``lstar_col``'s loop, ``derive_dfa`` checks
+    # consistency again at the state the loop's last check saw.
     scans = []
+    logs = []  # every log seen stays alive, so no two share an ``id``
     noncoverable = ObservationTable._noncoverable_masks
     extension_fix = ObservationTable._extension_fix
+
+    def state(table):
+        logs.append(table._log)
+        return table, id(table._log), len(table._log)
 
     def counted_noncoverable(table):
         kept = table._ncov
         answer = noncoverable(table)
         if table._ncov is not kept:
-            scans.append(("noncoverable", table, table._version))
+            scans.append(("noncoverable", *state(table)))
         return answer
 
     def counted_extension_fix(table, pairs):
-        scans.append(("extension", table, table._version))
+        scans.append(("extension", *state(table)))
         return extension_fix(table, pairs)
 
     monkeypatch.setattr(ObservationTable, "_noncoverable_masks", counted_noncoverable)
@@ -107,7 +113,7 @@ def test_table_scans_run_once_per_table_version(monkeypatch):
 
         @functools.wraps(body)
         def scanned(table, body=body):
-            scans.append((body.__name__, table, table._version))
+            scans.append((body.__name__, *state(table)))
             return body(table)
 
         monkeypatch.setattr(ObservationTable, name, tables._per_version(scanned))
@@ -115,7 +121,7 @@ def test_table_scans_run_once_per_table_version(monkeypatch):
     for target in pinned_targets():
         for learner in (lstar_col, nlstar, two_step_prime_contexts):
             learner(TeacherSession(target))
-    assert {kind for kind, _, _ in scans} == {
+    assert {kind for kind, *_ in scans} == {
         "noncoverable", "extension", "is_consistent", "is_rfsa_closed", "is_rfsa_consistent", "ncov_red"
     }
     assert len(set(scans)) == len(scans)

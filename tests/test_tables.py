@@ -829,9 +829,11 @@ def table_scripts(draw):
     predicate ``name``, if the table is filled and has one), ``("close",)``
     (fill and promote ``is_closed`` violators until closed, at most 12
     times), ``("promote", i)`` (promote the ``i``-th row word modulo the row
-    count: a no-op for a red word, possibly before its row is filled) or
-    ``("context", e)``.  Last comes the order in which the predicates are
-    compared after each step.
+    count: a no-op for a red word, possibly before its row is filled),
+    ``("context", e)`` or ``("rebuild",)`` (replace a filled table by
+    ``from_rows`` of its red words, contexts and rows, so that later steps
+    mutate a table built by ``_build``).  Last comes the order in which the
+    predicates are compared after each step.
     """
     alphabet = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c"), MULTI]))
     if draw(st.booleans()):
@@ -846,6 +848,7 @@ def table_scripts(draw):
         st.just(("close",)),
         st.tuples(st.just("promote"), st.integers(0, 63)),
         st.tuples(st.just("context"), st.lists(st.sampled_from(alphabet), max_size=3).map(tuple)),
+        st.just(("rebuild",)),
     )
     return target, draw(st.lists(step, max_size=30)), draw(st.permutations(PREDICATES))
 
@@ -869,6 +872,7 @@ def test_incremental_table_matches_full_rescan_reference(script):
     teacher, reference_teacher = RecordingTeacher(target), RecordingTeacher(target)
 
     def apply(step):
+        nonlocal table
         if step[0] == "fill":
             table.fill(teacher)
             reference.fill(reference_teacher)
@@ -879,6 +883,9 @@ def test_incremental_table_matches_full_rescan_reference(script):
         elif step[0] == "context":
             table.add_context(step[1])
             reference.add_context(step[1])
+        elif step[0] == "rebuild" and not table._pending:
+            rows = {w: table.row(w) for w in table.words()}
+            table = ObservationTable.from_rows(table.alphabet, table.red, table.contexts, rows)
         assert table.blue == tuple(reference.blue)
         assert table.words() == reference.words()
         for name in predicates:
