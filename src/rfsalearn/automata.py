@@ -59,13 +59,22 @@ def _checked_alphabet(symbols: tuple) -> tuple[tuple[str, ...], frozenset]:
 
 
 def _check_state(q, n: int) -> int:
+    """``q`` as the plain int it equals, once it is a state id in 0..n-1."""
     if not isinstance(q, int) or not 0 <= q < n:
         raise InputError(f"state id {q!r} out of range 0..{n - 1}")
-    return q
+    return int(q)
+
+
+def _check_word(w, symbols):
+    """``w``, once every symbol of it is in the set ``symbols``."""
+    for a in w:
+        if a not in symbols:
+            raise InputError(f"symbol {a!r} not in alphabet")
+    return w
 
 
 def _state_ids_ok(ids, n: int) -> bool:
-    """True iff the distinct values ``ids`` are all plain ints in 0..n-1."""
+    """True iff the values ``ids`` are all plain ints in 0..n-1."""
     return not ids or ({*map(type, ids)} == {int} and min(ids) >= 0 and max(ids) < n)
 
 
@@ -108,26 +117,28 @@ class Automaton:
             else:
                 # One (q, a, r) triple per target; an entry without targets
                 # still has its state and symbol checked.
-                triples = {
+                spread = [
                     (e[0], e[1], r)
                     for e in entries
                     for r in (e[2] if isinstance(e[2], (set, frozenset)) else (e[2],))
-                }
-                targets = {r for _, _, r in triples}
-                columns = ({e[0] for e in entries}, {e[1] for e in entries})
-            valid = {*columns[1]} <= symbol_set and _state_ids_ok({*columns[0], *targets}, n)
+                ]
+                triples = set(spread)
+                targets = [r for _, _, r in spread]
+                columns = ([e[0] for e in entries], {e[1] for e in entries})
+            # Ids are typed before a set can merge an int subclass (``True``) into an int.
+            valid = {*columns[1]} <= symbol_set and _state_ids_ok((*columns[0], *targets), n)
         except (TypeError, IndexError, KeyError):
             valid = False
         if not valid:
-            # A bad value, or an int subclass such as ``True``: scan in order,
-            # so that the error names the first bad value.
+            # A bad value, or an int subclass: scan in order, so that the
+            # error names the first bad value, and keep each id as a plain int.
+            triples = set()
             for entry in entries:
-                q, a, rest = entry[0], entry[1], entry[2]
-                _check_state(q, n)
-                if a not in symbol_set:
-                    raise InputError(f"symbol {a!r} not in alphabet")
+                q, a, rest = _check_state(entry[0], n), entry[1], entry[2]
+                _check_word((a,), symbol_set)
                 for r in rest if isinstance(rest, (set, frozenset)) else {rest}:
-                    _check_state(r, n)
+                    triples.add((q, a, _check_state(r, n)))
+            targets = {r for _, _, r in triples}
 
         # Plain tuple order is state, then symbol in alphabet order, since the
         # alphabet is sorted.
@@ -150,14 +161,9 @@ class Automaton:
     def step(self, q: int, a: str) -> frozenset[int]:
         return self._step.get((q, a), frozenset())
 
-    def _check_word(self, w: Word) -> None:
-        for a in w:
-            if a not in self._symbol_set:
-                raise InputError(f"symbol {a!r} not in alphabet")
-
     def run(self, sources, w: Word) -> frozenset[int]:
         """Set of states reachable from ``sources`` along ``w``."""
-        self._check_word(w)
+        _check_word(w, self._symbol_set)
         current = frozenset(sources)
         for q in current:
             _check_state(q, self.n_states)
@@ -444,16 +450,17 @@ class _ResidualOrder:
     ``dist[p][q]`` is the length of the shortest word in L_p \\ L_q, or -1 when
     L_p ⊆ L_q.  It comes from one backward breadth-first search over the pair
     graph seeded at the (final, non-final) pairs, so all pairs together cost
-    O(n²·|Σ|), and it is computed on first use only.
+    O(n²·|Σ|), and it is computed on first use only, as is ``includes``, the
+    inclusion matrix read off it.
     """
 
     def __init__(self, dfa: Automaton):
         self.dfa = dfa
         self.alphabet = dfa.alphabet
         self.n = dfa.n_states
-        self.delta = dfa._delta
-        # (symbol, successor row) pairs in alphabet order, for the walks.
-        self.steps = tuple(zip(self.alphabet, self.delta))
+        # (symbol, successor row, successor bit row) triples in alphabet order,
+        # for the walks; the bit rows step a mask of states by ``mask_union``.
+        self.steps = tuple((a, row, [1 << t for t in row]) for a, row in zip(dfa.alphabet, dfa._delta))
         self.final_mask = sum(1 << q for q in dfa.final)
 
     @functools.cached_property
@@ -485,22 +492,22 @@ class _ResidualOrder:
             frontier = reached
         return dist
 
-    def witness(self, p: int, q: int) -> Word | None:
-        """Length-lexicographically least word in L_p \\ L_q, if any.
+    @functools.cached_property
+    def includes(self) -> tuple[tuple[bool, ...], ...]:
+        """``includes[p][q]`` says L_p ⊆ L_q."""
+        return tuple(tuple(d < 0 for d in row) for row in self.dist)
+
+    def _walk(self, p: int, q: int) -> Word:
+        """The length-lex least word in L_p \\ L_q, which must not be empty.
 
         Every shortest witness steps to a pair one closer to the seeds, so
         taking the least symbol that does so at each step gives the least one.
         """
-        d = self.dist[p][q]
-        return None if d < 0 else self._walk(p, q, d)
-
-    def _walk(self, p: int, q: int, d: int) -> Word:
-        """The least witness of length ``d`` for (p, q); ``d`` must be ``dist[p][q]`` ≥ 0."""
         dist = self.dist
-        out = []
+        d, out = dist[p][q], []
         while d > 0:
             d -= 1
-            for a, row in self.steps:
+            for a, row, _ in self.steps:
                 p2, q2 = row[p], row[q]
                 if dist[p2][q2] == d:
                     out.append(a)
@@ -521,12 +528,8 @@ class _ResidualOrder:
 
         def successors(node):
             s, mask = node
-            for a, row in steps:
-                t, stepped, rest = row[s], 0, mask
-                while rest:
-                    low = rest & -rest
-                    stepped |= 1 << row[low.bit_length() - 1]
-                    rest ^= low
+            for a, row, bits in steps:
+                t, stepped = row[s], mask_union(bits, mask)
                 if not stepped >> t & 1:
                     yield a, (t, stepped)
 
@@ -619,6 +622,7 @@ def parse_automaton(text: str) -> Automaton:
     initial = None
     final = None
     arcs: list[tuple[int, str, int, int]] = []
+    seen: set[str] = set()
     last_line = 0
 
     def ints(tokens, line):
@@ -642,28 +646,23 @@ def parse_automaton(text: str) -> Automaton:
             raise ParseError(line_no, "expected 'key: value' form")
         key = key.strip()
         tokens = rest.split()
+        if key in seen and key != "trans":
+            raise ParseError(line_no, f"duplicate {key}: line")
+        seen.add(key)
         if key == "alphabet":
-            if alphabet is not None:
-                raise ParseError(line_no, "duplicate alphabet: line")
             try:
                 alphabet, _ = _checked_alphabet(tuple(tokens))
             except InputError as exc:
                 raise ParseError(line_no, str(exc)) from None
         elif key == "states":
-            if n_states is not None:
-                raise ParseError(line_no, "duplicate states: line")
             if len(tokens) != 1:
                 raise ParseError(line_no, "states: expects one count")
             (n_states,) = ints(tokens, line_no)
             if n_states < 0:
                 raise ParseError(line_no, "negative state count")
         elif key == "initial":
-            if initial is not None:
-                raise ParseError(line_no, "duplicate initial: line")
             initial = (ints(tokens, line_no), line_no)
         elif key == "final":
-            if final is not None:
-                raise ParseError(line_no, "duplicate final: line")
             final = (ints(tokens, line_no), line_no)
         elif key == "trans":
             if len(tokens) != 3:

@@ -101,9 +101,8 @@ def _residual_order_contexts(auto: Automaton) -> list[Word]:
     is what reading an RFSA off the finished table requires.
     """
     order = _ResidualOrder(auto)
-    dist = order.dist
-    includes = [[d < 0 for d in row] for row in dist]
-    contexts = [order._walk(p, q, d) for p, row in enumerate(dist) for q, d in enumerate(row) if d >= 0]
+    includes = order.includes
+    contexts = [order._walk(p, q) for p, row in enumerate(includes) for q, inc in enumerate(row) if not inc]
     for q in range(auto.n_states):
         witness = order.excess_witness(q, includes)
         if witness is not None:

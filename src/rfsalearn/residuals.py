@@ -11,6 +11,7 @@ of it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .automata import (
@@ -31,14 +32,18 @@ class ResidualIndex:
     """Residuals of a language, one per state of its minimal DFA.
 
     ``includes[i][j]`` says the residual of state ``i`` is a subset of the
-    residual of state ``j``.
+    residual of state ``j``; the primality tests share ``_order``, built once.
     """
 
     base: Automaton
     includes: tuple[tuple[bool, ...], ...]
 
+    @functools.cached_property
+    def _order(self) -> _ResidualOrder:
+        return _ResidualOrder(self.base)
 
-def _minimal_includes(l_dfa: Automaton) -> tuple[tuple[bool, ...], ...]:
+
+def residual_index(l_dfa: Automaton) -> ResidualIndex:
     """Residual inclusion matrix of ``l_dfa``, which must equal ``minimize(l_dfa)``.
 
     That holds iff ``l_dfa`` is a total DFA, a breadth-first walk from start
@@ -52,24 +57,18 @@ def _minimal_includes(l_dfa: Automaton) -> tuple[tuple[bool, ...], ...]:
         order = _ResidualOrder(l_dfa)
     except ContractError:
         raise error from None
-    walk = least_words((0,), lambda q: [(a, row[q]) for a, row in order.steps])
+    walk = least_words((0,), lambda q: [(a, row[q]) for a, row, _ in order.steps])
     if [q for q, _ in walk] != list(range(l_dfa.n_states)):
         raise error
-    includes = tuple(tuple(d < 0 for d in row) for row in order.dist)
-    if len(set(includes)) != l_dfa.n_states:
+    if len(set(order.includes)) != l_dfa.n_states:
         raise error
-    return includes
-
-
-def residual_index(l_dfa: Automaton) -> ResidualIndex:
-    """Inclusion matrix of the residuals, from one pass over the state pairs."""
-    return ResidualIndex(l_dfa, _minimal_includes(l_dfa))
+    return ResidualIndex(l_dfa, order.includes)
 
 
 def is_prime(index: ResidualIndex, q: int) -> bool:
     """True iff the residual of ``q`` exceeds the union of those strictly inside it."""
     _check_state(q, index.base.n_states)
-    return _ResidualOrder(index.base).excess_witness(q, index.includes) is not None
+    return index._order.excess_witness(q, index.includes) is not None
 
 
 def canonical_rfsa(l_dfa: Automaton) -> Automaton:

@@ -18,6 +18,7 @@ from .automata import (
     ContractError,
     InputError,
     Word,
+    _check_word,
     _checked_alphabet,
     is_covered,
     mask_union,
@@ -61,20 +62,12 @@ def _transpose(masks: list[int], width: int) -> list[int]:
     return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
-def _in_alphabet(w: Word, symbols) -> Word:
-    """``w``, once every symbol of it is in the set ``symbols``."""
-    for a in w:
-        if a not in symbols:
-            raise InputError(f"symbol {a!r} not in alphabet")
-    return w
+def _per_log_state(predicate):
+    """``predicate``, answered from the table's record while its change log stays in one state.
 
-
-def _per_version(predicate):
-    """``predicate``, answered from the table's record while the table is unchanged.
-
-    The record holds the answers given while the table's change log was one
-    list of one length; an entry or a new log empties it at the next call.
-    A call that raises records nothing.
+    The log's state is the list it is and that list's length: the record
+    holds the answers given in one such state, and an entry or a new log
+    empties it at the next call.  A call that raises records nothing.
     """
     name = predicate.__name__
 
@@ -142,14 +135,14 @@ class ObservationTable:
         one bit per context.
         """
         symbols = _checked_alphabet(tuple(alphabet))[1]
-        given = [_in_alphabet(tuple(s), symbols) for s in red]
+        given = [_check_word(tuple(s), symbols) for s in red]
         red = dict.fromkeys(given)
         if len(red) != len(given):
             raise InputError("duplicate red word")
         for s in red:
             if s != EPSILON and s[:-1] not in red:
                 raise ContractError(f"red is not prefix-closed at {s!r}")
-        contexts = [_in_alphabet(tuple(e), symbols) for e in contexts]
+        contexts = [_check_word(tuple(e), symbols) for e in contexts]
         if len(set(contexts)) != len(contexts):
             raise InputError("duplicate context")
 
@@ -264,7 +257,7 @@ class ObservationTable:
         e = tuple(e)
         if e in self._context_pos:
             return self
-        _in_alphabet(e, self._symbols)
+        _check_word(e, self._symbols)
         width = len(self._contexts)
         self._context_pos[e] = width
         self._contexts.append(e)
@@ -342,7 +335,7 @@ class ObservationTable:
                 return (a,) + self._contexts[(broken & -broken).bit_length() - 1]
         return None
 
-    @_per_version
+    @_per_log_state
     def is_consistent(self) -> Word | None:
         """None when consistent, else the least context ``a·e`` fixing a violation."""
         if self._pending and self._pending_rows()[0] in self._red:
@@ -387,7 +380,7 @@ class ObservationTable:
             self._ncov = (log, len(log), values, keep)
         return keep
 
-    @_per_version
+    @_per_log_state
     def ncov_red(self) -> tuple[Word, ...]:
         """Least red representative of every non-coverable distinct red row."""
         self._require_filled()
@@ -395,7 +388,7 @@ class ObservationTable:
         least = _least_per_value(self._red, self._cells.__getitem__)
         return tuple(s for m, s in least.items() if m in keep)
 
-    @_per_version
+    @_per_log_state
     def is_rfsa_closed(self) -> Word | None:
         """None when every blue row is an OR of non-coverable red rows.
 
@@ -409,7 +402,7 @@ class ObservationTable:
             return None
         return min([s for s in self._blue if cells[s] in missing], key=_lex_key)
 
-    @_per_version
+    @_per_log_state
     def is_rfsa_consistent(self) -> Word | None:
         """None when row inclusion survives one-symbol extension, else the least fix ``a·e``."""
         self._require_filled()

@@ -10,6 +10,7 @@ from .automata import (
     Word,
     _forward_side,
     _reversed_side,
+    determinize,
     least_difference,
     reverse_word,
     shortest_difference_witness,
@@ -42,12 +43,11 @@ class TeacherSession:
         self.target = target
         self.stats = QueryStats()
         self._cache: dict[Word, int] = {}
-        self._rows = None
-        # A total DFA answers by one successor-array lookup per symbol.
-        if target.is_deterministic and target.is_total:
-            (self._start,) = target.initial
-            self._rows = dict(zip(target.alphabet, target._delta))
-            self._accepting = [int(q in target.final) for q in range(target.n_states)]
+        # One array lookup per symbol, on the subset construction if not a total DFA.
+        dfa = target if target.is_deterministic and target.is_total else determinize(target)
+        (self._start,) = dfa.initial
+        self._rows = dict(zip(dfa.alphabet, dfa._delta))
+        self._accepting = [int(q in dfa.final) for q in range(dfa.n_states)]
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -57,21 +57,16 @@ class TeacherSession:
         w = tuple(w)
         answer = self._cache.get(w)
         if answer is None:
-            # Both paths reject a foreign symbol before anything is counted.
-            answer = self._walk(w) if self._rows is not None else int(self.target.accepts(w))
-            self._cache[w] = answer
+            q, rows = self._start, self._rows
+            try:
+                for a in w:
+                    q = rows[a][q]
+            except KeyError:  # a foreign symbol, rejected before anything is counted
+                raise InputError(f"symbol {a!r} not in alphabet") from None
+            answer = self._cache[w] = self._accepting[q]
             self.stats.mq_distinct += 1
         self.stats.mq_total += 1
         return answer
-
-    def _walk(self, w: Word) -> int:
-        q, rows = self._start, self._rows
-        try:
-            for a in w:
-                q = rows[a][q]
-        except KeyError:
-            raise InputError(f"symbol {a!r} not in alphabet") from None
-        return self._accepting[q]
 
     def eq(self, hypothesis: Automaton) -> Word | None:
         """None when the hypothesis matches the target, else the least counterexample."""

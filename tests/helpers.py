@@ -186,6 +186,11 @@ def reference_includes(dfa):
     return tuple(tuple(reference_included(dfa, p, q) for q in range(n)) for p in range(n))
 
 
+def residual_witness(order, p, q):
+    """Least word in L_p \\ L_q by the walk of the ``_ResidualOrder`` ``order``, if any."""
+    return None if order.includes[p][q] else order._walk(p, q)
+
+
 def reference_separating_word(dfa, p, q):
     """Least word accepted from ``p`` but not from ``q``, if any."""
     seen = {(p, q)}

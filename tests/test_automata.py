@@ -345,7 +345,9 @@ def test_minimize_partial_equals_minimize_of_completion(corpus):
 
 def test_residual_order_reads_the_cached_delta():
     for base in nth_end_dfas():
-        assert _ResidualOrder(base).delta is base._delta
+        rows = [row for _, row, _ in _ResidualOrder(base).steps]
+        assert len(rows) == len(base._delta)
+        assert all(row is cached for row, cached in zip(rows, base._delta))
 
 
 # ----------------------------------------------------------------------- trim
@@ -437,7 +439,12 @@ def test_isomorphic_same_size_different_structure():
 
 
 def test_format_parse_round_trip():
-    for a in (even_a(), ends_a(), nfa_ends_a(), empty_lang(), trim(empty_lang())):
+    # ``True`` is an accepted state id, kept as the plain int it equals.
+    with_bool = Automaton(AB, 2, {True}, {0}, [(True, "a", 0), (0, "b", {True, 0})])
+    twin = Automaton(AB, 2, {1}, {0}, [(1, "a", 0), (0, "b", {1, 0})])
+    assert repr(with_bool) == repr(twin)
+    assert format_automaton(with_bool) == format_automaton(twin)
+    for a in (even_a(), ends_a(), nfa_ends_a(), empty_lang(), trim(empty_lang()), with_bool):
         assert parse_automaton(format_automaton(a)) == a
 
 
@@ -495,6 +502,17 @@ def test_parse_alphabet_errors_keep_their_messages():
         with pytest.raises(ParseError) as err:
             parse_automaton(text)
         assert str(err.value) == message
+
+
+def test_parse_repeated_key_messages():
+    head = "alphabet: a\nstates: 2\ninitial: 0\nfinal: 1\ntrans: 0 a 1\ntrans: 1 a 1\n"
+    for line in ("alphabet: a", "states: 2", "initial: 0", "final: 1"):
+        key = line.partition(":")[0]
+        with pytest.raises(ParseError) as err:
+            parse_automaton(head + line + "\n")
+        assert str(err.value) == f"line 7: duplicate {key}: line"
+    # Only ``trans:`` may repeat.
+    assert parse_automaton(head).step(1, "a") == frozenset({1})
 
 
 # ----------------------------------------------------------- property checks

@@ -111,6 +111,12 @@ def test_first_offending_entry_is_named():
     rejects("state id 8 out of range 0..1", transitions=[(1, "a", {8}), (0, "z", 0)])
 
 
+def test_entries_are_read_by_index():
+    # ``zip`` reads a mapping entry's keys; the ordered scan indexes it and decides.
+    a = Automaton(AB, 3, {0}, {0}, [{0: 0, 1: "a", 2: 1}])
+    assert a.transitions == ((0, "a", frozenset({1})),)
+
+
 def test_one_pass_iterables_are_read_once():
     with pytest.raises(InputError, match="^state id 4 out of range 0..1$"):
         Automaton(AB, 2, iter([0, 4]), (), ())
@@ -126,6 +132,11 @@ def test_int_subclass_ids_are_accepted_as_before():
     assert (a.alphabet, a.initial, a.final, a.transitions) == reference_normalise(
         AB, 2, {True}, {0}, [(True, "a", 0), (0, "b", {True, 0})]
     )
+    # Each id is kept as the plain int it equals, also where a set of ids
+    # would hold ``True`` in place of an equal 1.
+    for b in (a, Automaton(AB, 2, {0}, {0}, [(1, "a", 0), (True, "b", 0)])):
+        ids = [*b.initial, *b.final, *(r for q, _, ts in b.transitions for r in (q, *ts))]
+        assert {type(q) for q in ids} == {int}
 
 
 # ------------------------------------------------------ random raw inputs
@@ -168,4 +179,7 @@ def test_constructor_matches_reference_normaliser(raw):
     a = Automaton(*raw)
     assert (a.alphabet, a.initial, a.final, a.transitions) == expected
     assert a.n_states == raw[1]
+    # An int subclass such as ``True`` is kept as the plain int it equals.
+    ids = [*a.initial, *a.final, *(r for q, _, ts in a.transitions for r in (q, *ts))]
+    assert {type(q) for q in ids} <= {int}
     assert a._step == {(q, sym): ts for q, sym, ts in expected[3]}

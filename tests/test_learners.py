@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    AB,
     canonical_digest,
     empty_lang,
     ends_a,
     even_a,
     learner_digest,
     minimal_dfas,
+    nfa_ends_a,
     nth_from_end_nfa,
     pinned_targets,
     reference_residual_order_contexts,
@@ -20,6 +22,7 @@ from helpers import (
 )
 from rfsalearn import learners, tables
 from rfsalearn.automata import (
+    Automaton,
     determinize,
     isomorphic,
     least_words,
@@ -116,7 +119,7 @@ def test_table_scans_run_once_per_table_version(monkeypatch):
             scans.append((body.__name__, *state(table)))
             return body(table)
 
-        monkeypatch.setattr(ObservationTable, name, tables._per_version(scanned))
+        monkeypatch.setattr(ObservationTable, name, tables._per_log_state(scanned))
 
     for target in pinned_targets():
         for learner in (lstar_col, nlstar, two_step_prime_contexts):
@@ -125,6 +128,17 @@ def test_table_scans_run_once_per_table_version(monkeypatch):
         "noncoverable", "extension", "is_consistent", "is_rfsa_closed", "is_rfsa_consistent", "ncov_red"
     }
     assert len(set(scans)) == len(scans)
+
+
+def test_learners_see_only_the_language_of_a_target():
+    # The teacher answers every target through a total DFA, so a partial DFA
+    # or an NFA (one without an initial state too) teaches exactly what its
+    # minimal DFA teaches: the same queries, counters, tables and hypotheses.
+    no_initial = Automaton(AB, 2, set(), {1}, [(0, "a", {0, 1}), (1, "b", 0)])
+    targets = [nfa_ends_a(), nth_from_end_nfa(3), nth_from_end_nfa(4), trim(starts_a()), no_initial]
+    for learner in ALL_LEARNERS:
+        for target in targets:
+            assert learner_digest(learner, [target]) == learner_digest(learner, [minimize(target)])
 
 
 # ------------------------------------------------------------------ALL correct

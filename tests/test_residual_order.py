@@ -11,6 +11,7 @@ from helpers import (
     reference_includes,
     reference_residual_order_contexts,
     reference_separating_word,
+    residual_witness,
 )
 from rfsalearn.automata import (
     Automaton,
@@ -46,7 +47,7 @@ def assert_matches_reference(dfa):
     order = _ResidualOrder(dfa)
     for p in range(n):
         for q in range(n):
-            assert order.witness(p, q) == reference_separating_word(dfa, p, q), (p, q)
+            assert residual_witness(order, p, q) == reference_separating_word(dfa, p, q), (p, q)
     assert [is_prime(index, q) for q in range(n)] == [
         reference_excess_witness(dfa, includes, q) is not None for q in range(n)
     ]

@@ -88,7 +88,6 @@ def _no_dense_view(self):
 def test_mq_equals_accepts(example):
     target, words = example
     session = TeacherSession(target)
-    assert (session._rows is not None) == (target.is_deterministic and target.is_total)
     # ``accepts`` and the subset oracle ``c_of_b`` must not read the dense
     # view the teacher and the learners share; ``helpers.all_words`` takes
     # no automaton at all.
@@ -100,23 +99,12 @@ def test_mq_equals_accepts(example):
 
 
 def test_mq_foreign_symbol_on_dense_path():
-    for target in (even_a(), starts_a()):
+    for target in (even_a(), starts_a(), nfa_ends_a()):
         session = TeacherSession(target)
-        assert session._rows is not None
         for w in (("z",), ("a", "z"), ("a", "b", "ab")):
             with pytest.raises(InputError, match="not in alphabet"):
                 session.mq(w)
         assert session.stats.mq_total == session.stats.mq_distinct == 0
-
-
-def test_dense_path_only_for_total_dfas():
-    # One entry per state and symbol makes a DFA total; an NFA with as many
-    # entries, or a DFA with one arc missing, keeps ``accepts``.
-    nfa = Automaton(AB, 2, {0}, {1}, [(0, "a", {0, 1}), (0, "b", 0), (1, "a", 1), (1, "b", 1)])
-    partial = Automaton(AB, 2, {0}, {1}, [(0, "a", 1), (0, "b", 0), (1, "a", 1)])
-    assert TeacherSession(even_a())._rows is not None
-    for target in (nfa, partial, nfa_ends_a()):
-        assert TeacherSession(target)._rows is None
 
 
 def test_eq_on_correct_hypothesis():
@@ -194,7 +182,7 @@ def test_reversal_view_reverses_any_word_sequence():
 
 
 def test_reversal_view_foreign_symbol_counts_nothing():
-    for target in (even_a(), nfa_ends_a()):  # the dense path and ``accepts``
+    for target in (even_a(), nfa_ends_a()):  # a total DFA and an NFA
         session = TeacherSession(target)
         view = ReversalTeacher(session)
         for w in (("z",), ("a", "z"), ("z", "b", "a")):
