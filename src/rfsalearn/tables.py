@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import operator
 from dataclasses import dataclass
 
 from .automata import (
@@ -166,9 +167,8 @@ class ObservationTable:
         table._red = dict.fromkeys(red)
         table._contexts = list(contexts)
         table._context_pos = {e: j for j, e in enumerate(table._contexts)}
-        table._blue = {}
-        for r in table._red:
-            table._extend_blue(r)
+        extensions = [r + (a,) for r in table._red for a in table._alphabet]
+        table._blue = dict.fromkeys([w for w in extensions if w not in table._red])
         words = table.words()
         table._cells = dict(zip(words, rows_of(words)))
         table._pending = {}
@@ -495,18 +495,27 @@ def derive_dfa(table: ObservationTable) -> Automaton:
 def _restrict(table: ObservationTable, red, positions) -> ObservationTable:
     """Table over ``red`` and the contexts of ``table`` at ``positions``, in that order.
 
-    When ``positions`` keeps every context in place, the rows are the masks
-    of ``table`` unchanged and nothing is transposed.
+    Needs a filled table.  Each distinct row value is restricted once, by
+    picking the digits at ``positions`` out of its binary string.  When
+    ``positions`` keeps every context in place, the rows are the masks of
+    ``table`` unchanged.
     """
-    contexts = table.contexts
-    every = list(positions) == list(range(len(contexts)))
+    contexts, cells = table.contexts, table._cells
+    width = len(contexts)
+    every = list(positions) == list(range(width))
 
     def rows_of(words):
-        masks = [table._mask(w) for w in words]
+        masks = [cells[w] for w in words]
         if every:
             return masks
-        columns = _transpose(masks, len(contexts))
-        return _transpose([columns[j] for j in positions], len(words))
+        if not positions:
+            return [0] * len(masks)
+        # Digit ``width - 1 - j`` of a row's binary string is its cell under
+        # context ``j``; the picked digits come highest kept position first.
+        pick = operator.itemgetter(*[width - 1 - j for j in reversed(positions)])
+        digits = f"0{width}b"
+        value = {m: int("".join(pick(format(m, digits))), 2) for m in set(masks)}
+        return [value[m] for m in masks]
 
     return ObservationTable._build(table.alphabet, red, [contexts[j] for j in positions], rows_of)
 
@@ -523,7 +532,7 @@ def apply_modifications(table: ObservationTable) -> ModifiedTable:
     _check_derivable(table)
     pos = table._context_pos
 
-    row_reps = _least_per_value(table.red, table._mask)
+    row_reps = _least_per_value(table.red, table._cells.__getitem__)
     red1, masks1 = list(row_reps.values()), list(row_reps)
     # Columns over red1.  The rows dropped below are 0 in every kept column,
     # so these masks order the kept columns as masks over red2 would.
@@ -576,15 +585,17 @@ def derive_reversal_rfsa(modified: ModifiedTable) -> Automaton:
     columns are those containing the empty word.
     """
     table = modified.table
+    table._require_filled()
+    cells = table._cells
     reds = table.red
     alphabet = table.alphabet
-    masks = [table._mask(s) for s in reds]
+    masks = [cells[s] for s in reds]
     columns = _transpose(masks, len(table.contexts))
 
     # The row automaton of ``modified_row_automaton`` as masks over the red
     # rows: pre[k][q] holds the rows whose successor on the k-th symbol is q.
     value_index = {m: i for i, m in enumerate(masks)}
-    succ = [[value_index.get(table._mask(s + (a,))) for s in reds] for a in alphabet]
+    succ = [[value_index.get(cells[s + (a,)]) for s in reds] for a in alphabet]
     pre = [pred_masks(row, len(reds)) for row in succ]
     post = [[0 if q is None else 1 << q for q in row] for row in succ]
     start = 1 << reds.index(EPSILON) if EPSILON in reds else 0

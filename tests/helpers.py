@@ -4,14 +4,15 @@ that the single-pass kernel is checked against, a full-rescan observation
 table that the incremental one is checked against, the frozenset pipeline
 that ``rev2step``'s mask-based second step is checked against, the
 scan-everything normaliser that ``Automaton``'s constructor is checked
-against, the reversed-automaton equivalence query and bit-loop
-transpose that the teacher's backward walk and ``tables._transpose`` are
-checked against, the pair-set totality test that ``Automaton.is_total`` is
-checked against, the brute-force extension scan that both table consistency
-checks are checked against, the names only tests use (two row predicates
-over ``ObservationTable.row`` and a brute-force distinguishing-context
-count), and the query log and digests that pin every observable output of
-the learners on a fixed slice of targets."""
+against, the reversed-automaton equivalence query, bit-loop transpose and
+bit-loop mask step that the teacher's backward walk, ``tables._transpose``
+and ``automata.mask_union`` are checked against, the pair-set totality test
+that ``Automaton.is_total`` is checked against, the brute-force extension
+scan that both table consistency checks are checked against, the names only
+tests use (two row predicates over ``ObservationTable.row`` and a
+brute-force distinguishing-context count), and the query log and digests
+that pin every observable output of the learners on a fixed slice of
+targets."""
 import dataclasses
 import hashlib
 from collections import deque
@@ -487,7 +488,7 @@ def reference_normalise(alphabet, n_states, initial, final, transitions):
     return symbols, initial, final, normal
 
 
-# --------------------------------------- reversal equivalence and transpose references
+# ------------------------------ reversal equivalence, transpose and mask step references
 
 
 def reference_reversed_eq(session, hypothesis):
@@ -510,6 +511,16 @@ def reference_transpose(masks, width):
             out[low.bit_length() - 1] |= bit
             m ^= low
     return out
+
+
+def reference_mask_union(values, mask):
+    """``automata.mask_union`` one low bit at a time, at every width."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= values[low.bit_length() - 1]
+        mask ^= low
+    return union
 
 
 # ------------------------------------------------------------- totality reference

@@ -1,4 +1,5 @@
 import pickle
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     nfa_ends_a,
     nth_from_end_nfa,
     reference_is_total,
+    reference_mask_union,
     starts_a,
     universal_lang,
 )
@@ -28,6 +30,7 @@ from rfsalearn.automata import (
     format_automaton,
     isomorphic,
     least_words,
+    mask_union,
     minimize,
     parse_automaton,
     reverse_automaton,
@@ -625,3 +628,44 @@ def test_is_total_without_states_or_symbols():
         Automaton((), 0, set(), set(), []),
     ):
         assert a.is_total and reference_is_total(a)
+
+
+# ------------------------------------------------------------------ mask step
+
+
+def mixed_values(rng, n):
+    """``n`` values of mixed widths, about a quarter of them 0."""
+    widths = (1, 8, 63, 64, 65, 300)
+    return [0 if rng.random() < 0.25 else rng.getrandbits(rng.choice(widths)) for _ in range(n)]
+
+
+def test_mask_union_matches_peel_loop_across_the_split():
+    # 64 bits is where the byte-wise read takes over from the peel loop.
+    rng = random.Random(5)
+    for length in (0, 1, 63, 64, 65, 127, 128):
+        values = mixed_values(rng, max(length, 1))
+        top = 1 << length >> 1  # the bit that gives the mask its length
+        for mask in (top, (1 << length) - 1, top | rng.getrandbits(length)):
+            assert mask.bit_length() == length
+            assert mask_union(values, mask) == reference_mask_union(values, mask)
+    values = mixed_values(rng, 5000)
+    for mask in ((1 << 4999) | rng.getrandbits(5000), (1 << 4999) | 1 << 2500 | 1):
+        assert mask.bit_length() == 5000
+        assert mask_union(values, mask) == reference_mask_union(values, mask)
+
+
+@st.composite
+def mask_steps(draw):
+    """Values of mixed widths, some 0, and a mask of bit length up to 300 over them."""
+    length = draw(st.integers(0, 300))
+    mask = draw(st.integers(0, (1 << length) - 1)) | 1 << length >> 1
+    width = st.sampled_from((1, 8, 64, 300)).flatmap(lambda w: st.integers(0, (1 << w) - 1))
+    values = draw(st.lists(st.one_of(st.just(0), width), min_size=length, max_size=length))
+    return values, mask
+
+
+@given(mask_steps())
+@settings(max_examples=100, deadline=None)
+def test_mask_union_matches_peel_loop_on_random_lengths(example):
+    values, mask = example
+    assert mask_union(values, mask) == reference_mask_union(values, mask)

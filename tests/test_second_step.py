@@ -10,10 +10,11 @@ from helpers import (
     reference_completion_contexts,
     reference_derive_reversal_rfsa,
 )
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfsalearn.automata import determinize, minimize, reverse_automaton
+from rfsalearn.automata import ContractError, determinize, minimize, reverse_automaton
 from rfsalearn.learners import _completion_contexts, lstar_col, two_step_reversal
 from rfsalearn.tables import (
     ModifiedTable,
@@ -100,3 +101,16 @@ def modified_tables(draw):
 @settings(max_examples=150, deadline=None)
 def test_reversal_derivation_matches_reference_on_arbitrary_tables(modified):
     assert derive_reversal_rfsa(modified) == reference_derive_reversal_rfsa(modified)
+
+
+def test_reversal_derivation_rejects_an_unfilled_table():
+    # A reduced RED need not be prefix-closed: here it holds aa but not a.
+    table = ObservationTable._build(("a", "b"), [(), ("a", "a")], [()], lambda words: [1] * len(words))
+    modified = ModifiedTable(table, {(): 1, ("a", "a"): 1})
+    table.add_red(("a",))  # ab is a new blue row with an unset cell; aa is red
+    table.add_red(("b",))  # so are ba and bb
+    with pytest.raises(ContractError, match=r"^row \('a', 'b'\) not fully filled$"):
+        derive_reversal_rfsa(modified)
+    table.add_context(("b",))  # now every row has one, red rows first
+    with pytest.raises(ContractError, match=r"^row \(\) not fully filled$"):
+        derive_reversal_rfsa(modified)

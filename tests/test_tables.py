@@ -591,6 +591,56 @@ def test_restrict_matches_bit_list_reference():
             assert table_view(restricted) == reference_restrict(table, red, positions)
 
 
+def transpose_restrict(table, red, positions):
+    """The words, contexts and row masks of ``_restrict``, by transposing twice."""
+    red = [tuple(s) for s in red]
+    words = red + [r + (a,) for r in red for a in table.alphabet if r + (a,) not in red]
+    columns = reference_transpose([table._cells[w] for w in words], len(table.contexts))
+    rows = reference_transpose([columns[j] for j in positions], len(words))
+    return words, [table.contexts[j] for j in positions], dict(zip(words, rows))
+
+
+@st.composite
+def restrictions(draw):
+    """A random filled table, a subset of its RED and its context positions.
+
+    The positions are a shuffled subset, as ``apply_modifications`` passes
+    its kept columns in length-lex order, or every position in place.
+    """
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    word_ = st.lists(st.sampled_from(alphabet), max_size=3).map(tuple)
+    red = {()}
+    for w in draw(st.lists(word_, max_size=6)):
+        red |= {w[:i] for i in range(len(w) + 1)}
+    red = sorted(red, key=lambda w: (len(w), w))
+    contexts = draw(st.lists(word_, min_size=1, max_size=8, unique=True))
+    width = len(contexts)
+    rows = {
+        s: draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+        for s in red + [r + (a,) for r in red for a in alphabet]
+    }
+    table = ObservationTable.from_rows(alphabet, red, contexts, rows)
+    kept_red = draw(st.lists(st.sampled_from(red), unique=True))
+    if draw(st.booleans()):
+        positions = list(range(width))
+    else:
+        order = draw(st.permutations(range(width)))
+        positions = order[: draw(st.integers(0, width))]
+    return table, kept_red, positions
+
+
+@given(restrictions())
+@settings(max_examples=200, deadline=None)
+def test_restrict_matches_transpose_reference(example):
+    table, red, positions = example
+    restricted = _restrict(table, red, positions)
+    words, contexts, rows = transpose_restrict(table, red, positions)
+    assert list(restricted.words()) == words
+    assert list(restricted.contexts) == contexts
+    assert restricted._cells == rows
+    assert not restricted._pending
+
+
 def test_drop_zero_rows_and_columns_rejects_an_unfilled_table():
     t = ObservationTable(AB)
     t.fill(TeacherSession(even_a()))
