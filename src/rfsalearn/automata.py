@@ -242,16 +242,17 @@ def is_covered(target, values) -> bool:
 
 # _BYTE_BITS[b]: the positions of the set bits of the byte value b, lowest first.
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-# The least mask of bit length 64.  Below it the byte read measured slower
-# than peeling one low bit at a time.
-_WIDE_MASK = 1 << 63
+# The least mask of bit length 17.  Timed on the masks the bench workloads
+# step, the byte read costs more than peeling one low bit at a time up to 16
+# bits and less from 17 bits on.
+_WIDE_MASK = 1 << 16
 
 
 def mask_union(values, mask: int) -> int:
     """OR of ``values[i]`` over the set bits ``i`` of ``mask``.
 
-    A mask under 64 bits is peeled one low bit at a time.  A wider one is
-    read a byte at a time, with the set-bit positions of each byte value
+    A mask of at most 16 bits is peeled one low bit at a time.  A wider one
+    is read a byte at a time, with the set-bit positions of each byte value
     from a table, so each set bit costs one index and one OR rather than
     big-int arithmetic over the whole mask.
     """

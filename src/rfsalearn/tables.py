@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import operator
 from dataclasses import dataclass
 
 from .automata import (
@@ -495,27 +494,18 @@ def derive_dfa(table: ObservationTable) -> Automaton:
 def _restrict(table: ObservationTable, red, positions) -> ObservationTable:
     """Table over ``red`` and the contexts of ``table`` at ``positions``, in that order.
 
-    Needs a filled table.  Each distinct row value is restricted once, by
-    picking the digits at ``positions`` out of its binary string.  When
-    ``positions`` keeps every context in place, the rows are the masks of
-    ``table`` unchanged.
+    When ``positions`` keeps every context in place, the rows are the masks
+    of ``table`` unchanged and nothing is transposed.
     """
-    contexts, cells = table.contexts, table._cells
-    width = len(contexts)
-    every = list(positions) == list(range(width))
+    contexts = table.contexts
+    every = list(positions) == list(range(len(contexts)))
 
     def rows_of(words):
-        masks = [cells[w] for w in words]
+        masks = [table._mask(w) for w in words]
         if every:
             return masks
-        if not positions:
-            return [0] * len(masks)
-        # Digit ``width - 1 - j`` of a row's binary string is its cell under
-        # context ``j``; the picked digits come highest kept position first.
-        pick = operator.itemgetter(*[width - 1 - j for j in reversed(positions)])
-        digits = f"0{width}b"
-        value = {m: int("".join(pick(format(m, digits))), 2) for m in set(masks)}
-        return [value[m] for m in masks]
+        columns = _transpose(masks, len(contexts))
+        return _transpose([columns[j] for j in positions], len(words))
 
     return ObservationTable._build(table.alphabet, red, [contexts[j] for j in positions], rows_of)
 

@@ -635,14 +635,14 @@ def test_is_total_without_states_or_symbols():
 
 def mixed_values(rng, n):
     """``n`` values of mixed widths, about a quarter of them 0."""
-    widths = (1, 8, 63, 64, 65, 300)
+    widths = (1, 8, 16, 17, 64, 300)
     return [0 if rng.random() < 0.25 else rng.getrandbits(rng.choice(widths)) for _ in range(n)]
 
 
 def test_mask_union_matches_peel_loop_across_the_split():
-    # 64 bits is where the byte-wise read takes over from the peel loop.
+    # 17 bits is where the byte-wise read takes over from the peel loop.
     rng = random.Random(5)
-    for length in (0, 1, 63, 64, 65, 127, 128):
+    for length in (0, 1, 16, 17, 63, 64, 65, 127, 128):
         values = mixed_values(rng, max(length, 1))
         top = 1 << length >> 1  # the bit that gives the mask its length
         for mask in (top, (1 << length) - 1, top | rng.getrandbits(length)):
