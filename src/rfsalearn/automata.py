@@ -5,7 +5,9 @@ A single ``Automaton`` type covers DFAs, NFAs and partial machines; the
 value happens to satisfy.  Values are frozen, so they are safe to share
 between threads or processes.  Every construction returns a fresh automaton,
 except that ``minimize`` returns an input that is already its own canonical
-minimal DFA.
+minimal DFA.  Every construction here goes through the checked constructor;
+only the table derivations, which read their hypotheses off a table already
+in normal form, use the unchecked builder ``Automaton._from_normal``.
 """
 from __future__ import annotations
 
@@ -91,6 +93,12 @@ class Automaton:
     entries with non-empty target sets; pairs that do not appear map to the
     empty set, so the transition relation is total as a mapping but the
     machine itself may be partial.
+
+    The constructor checks and normalises input from outside: the parser,
+    the constructions of this module, the oracles and the test references
+    all build through it.  ``_from_normal`` takes fields already in normal
+    form and checks nothing; the table derivations use it.  Both set the
+    fields and the transition index in one place, ``_install``.
     """
 
     alphabet: tuple[str, ...]
@@ -151,12 +159,40 @@ class Automaton:
             for q, a, r in ordered:
                 grouped.setdefault((q, a), []).append(r)
             normal = tuple((q, a, frozenset(ts)) for (q, a), ts in grouped.items())
-        object.__setattr__(self, "alphabet", symbols)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "transitions", normal)
-        object.__setattr__(self, "_step", {(q, a): ts for q, a, ts in normal})
-        object.__setattr__(self, "_symbol_set", symbol_set)
+        self._install(symbols, n, initial, final, normal, symbol_set)
+
+    @classmethod
+    def _from_normal(cls, alphabet, n_states, initial, final, transitions) -> Automaton:
+        """An automaton from fields already in the normal form ``__post_init__`` builds.
+
+        Nothing is checked or re-sorted, so the caller must hand over exactly:
+
+        - ``alphabet``, a sorted tuple of symbols that ``_checked_alphabet`` accepts;
+        - ``initial`` and ``final``, frozensets of int ids in ``0..n_states-1``;
+        - ``transitions``, a tuple of ``(q, a, frozenset)`` entries with
+          non-empty target sets of such ids, strictly increasing in ``(q, a)``
+          with symbols in alphabet order.
+        """
+        self = object.__new__(cls)
+        self._install(alphabet, n_states, initial, final, transitions, _checked_alphabet(alphabet)[1])
+        return self
+
+    def _install(self, alphabet, n_states, initial, final, transitions, symbol_set):
+        """Set every field, the transition index and the symbol set among them.
+
+        Each goes through ``object.__setattr__`` in declaration order, as the
+        dataclass ``__init__`` sets them: reading ``vars(self)`` instead would
+        make CPython keep a separate dict per instance and slow every later
+        attribute read on the value.
+        """
+        set_field = object.__setattr__
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "n_states", n_states)
+        set_field(self, "initial", initial)
+        set_field(self, "final", final)
+        set_field(self, "transitions", transitions)
+        set_field(self, "_step", {(q, a): ts for q, a, ts in transitions})
+        set_field(self, "_symbol_set", symbol_set)
 
     def step(self, q: int, a: str) -> frozenset[int]:
         return self._step.get((q, a), frozenset())

@@ -187,7 +187,9 @@ def two_step_prime_contexts(teacher) -> LearnerResult:
 
     reduced = drop_zero_rows_and_columns(table)
     try:
-        hypothesis = derive_rfsa(reduced)
+        # Only the empty language zeroes every row, ε's and the ε column too,
+        # and leaves nothing to read off.
+        hypothesis = derive_rfsa(reduced) if reduced.red else Automaton(table.alphabet, 0, (), (), ())
     except ContractError as exc:
         raise DiagnosticError(f"completed {exc}") from exc
     return LearnerResult(hypothesis, reduced, teacher.stats.snapshot(), first.iterations)

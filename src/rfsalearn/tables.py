@@ -478,11 +478,12 @@ def derive_dfa_with_reps(table: ObservationTable) -> tuple[Automaton, tuple[Word
         if value not in index:
             index[value] = len(reps)
             reps.append(s)
-    arcs = [(i, a, index[cells[s + (a,)]]) for i, s in enumerate(reps) for a in table._alphabet]
+    # One target set per state, shared by every arc into it.
+    single = {value: frozenset((i,)) for value, i in index.items()}
+    arcs = tuple([(i, a, single[cells[s + (a,)]]) for i, s in enumerate(reps) for a in table._alphabet])
     eps_bit = 1 << table._context_pos[EPSILON]
     finals = frozenset(i for value, i in index.items() if value & eps_bit)
-    initial = frozenset({index[cells[EPSILON]]})
-    auto = Automaton(table._alphabet, len(reps), initial, finals, tuple(arcs))
+    auto = Automaton._from_normal(table._alphabet, len(reps), single[cells[EPSILON]], finals, arcs)
     return auto, tuple(reps)
 
 
@@ -596,11 +597,13 @@ def derive_reversal_rfsa(modified: ModifiedTable) -> Automaton:
     for i, q1 in enumerate(columns):
         for a, by_state in zip(alphabet, pre):
             pred_union = mask_union(by_state, q1 & useful) & useful
-            arcs += [(i, a, j) for j, q2 in enumerate(columns) if not q2 & ~pred_union]
+            js = [j for j, q2 in enumerate(columns) if not q2 & ~pred_union]
+            if js:
+                arcs.append((i, a, frozenset(js)))
 
     initial = frozenset(i for i, m in enumerate(columns) if not m & ~eps)
     final = frozenset(i for i, m in enumerate(columns) if m & start)
-    return Automaton(alphabet, len(columns), initial, final, tuple(arcs))
+    return Automaton._from_normal(alphabet, len(columns), initial, final, tuple(arcs))
 
 
 def _reach(mask: int, steps) -> int:
@@ -621,14 +624,11 @@ def derive_rfsa(table: ObservationTable) -> Automaton:
         raise ContractError("table is not RFSA-closed")
     if table.is_rfsa_consistent() is not None:
         raise ContractError("table is not RFSA-consistent")
-    reps = table.ncov_red()
-    if not reps:
-        # every row is all zeros: the accepted language is empty
-        return Automaton(table.alphabet, 0, frozenset(), frozenset(), ())
-    if EPSILON not in table.contexts:
+    if EPSILON not in table._context_pos:
         raise ContractError("the empty context is required")
     if EPSILON not in table._red:
         raise ContractError("red must contain the empty word")
+    reps = table.ncov_red()  # none when every row is all zeros: the empty language
     cells = table._cells  # RFSA-closed, so filled
     masks = [cells[s] for s in reps]
     eps_at = table._context_pos[EPSILON]
@@ -637,12 +637,12 @@ def derive_rfsa(table: ObservationTable) -> Automaton:
     final = frozenset(i for i, m in enumerate(masks) if (m >> eps_at) & 1)
     arcs = []
     for i, s in enumerate(reps):
-        for a in table.alphabet:
+        for a in table._alphabet:
             succ = cells[s + (a,)]
-            for j, m in enumerate(masks):
-                if m & ~succ == 0:
-                    arcs.append((i, a, j))
-    return Automaton(table.alphabet, len(reps), initial, final, tuple(arcs))
+            js = [j for j, m in enumerate(masks) if m & ~succ == 0]
+            if js:
+                arcs.append((i, a, frozenset(js)))
+    return Automaton._from_normal(table._alphabet, len(reps), initial, final, tuple(arcs))
 
 
 def drop_zero_rows_and_columns(table: ObservationTable) -> ObservationTable:

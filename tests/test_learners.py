@@ -1,4 +1,6 @@
 import functools
+import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from helpers import (
     nfa_ends_a,
     nth_from_end_nfa,
     pinned_targets,
+    reference_normalise,
     reference_residual_order_contexts,
     starts_a,
     table_from_bits,
@@ -139,6 +142,41 @@ def test_learners_see_only_the_language_of_a_target():
     for learner in ALL_LEARNERS:
         for target in targets:
             assert learner_digest(learner, [target]) == learner_digest(learner, [minimize(target)])
+
+
+# Targets at the edges of what a derivation reads off: no state at all, the
+# language {ε}, and a partial NFA.
+EDGE_TARGETS = [
+    Automaton(AB, 0, (), (), ()),
+    Automaton(AB, 1, {0}, {0}, ()),
+    Automaton(AB, 3, {0}, {2}, [(0, "a", {0, 1}), (0, "b", 0), (1, "b", 2), (2, "a", 2)]),
+]
+
+
+def test_derivations_build_what_the_checked_constructor_builds(monkeypatch):
+    # Every hypothesis the table derivations hand to the normal-form builder
+    # is built again through ``Automaton(...)`` and ``reference_normalise``.
+    from_normal = Automaton._from_normal.__func__
+    callers = set()
+
+    def checked(cls, *fields):
+        callers.add(sys._getframe(1).f_code.co_name)
+        auto = from_normal(cls, *fields)
+        expected = reference_normalise(*fields)
+        assert (auto.alphabet, auto.initial, auto.final, auto.transitions) == expected
+        again = Automaton(*fields)
+        assert auto == again
+        assert auto._step == again._step == {(q, a): ts for q, a, ts in expected[3]}
+        assert auto._symbol_set == again._symbol_set
+        assert pickle.loads(pickle.dumps(auto)) == auto
+        return auto
+
+    monkeypatch.setattr(Automaton, "_from_normal", classmethod(checked))
+    for target in HAND_TARGETS + pinned_targets() + EDGE_TARGETS:
+        for learner in ALL_LEARNERS:
+            result = learner(TeacherSession(target))
+            assert shortest_difference_witness(result.hypothesis, target) is None
+    assert callers == {"derive_dfa_with_reps", "derive_rfsa", "derive_reversal_rfsa"}
 
 
 # ------------------------------------------------------------------ALL correct

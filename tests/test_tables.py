@@ -651,6 +651,18 @@ def test_derive_rfsa_deterministic_shaped_table():
     assert isomorphic(minimize(determinize(nfa)), minimize(even_a()))
 
 
+def test_derive_rfsa_checks_the_table_before_an_empty_answer():
+    # Every row is zero, so the language read off would be empty; the table
+    # must still hold ε as a context and in RED, for both derivations alike.
+    no_eps_context = ObservationTable.from_rows(AB, [()], [("a",)], {(): [0], ("a",): [0], ("b",): [0]})
+    no_eps_red = ObservationTable._build(AB, [word("a")], [()], lambda words: [0] * len(words))
+    for derive in (derive_dfa, derive_rfsa):
+        with pytest.raises(ContractError, match="^the empty context is required$"):
+            derive(no_eps_context)
+        with pytest.raises(ContractError, match="^red must contain the empty word$"):
+            derive(no_eps_red)
+
+
 def test_derive_rfsa_requires_conditions():
     bad = table_from_bits(
         ["", "a"],
