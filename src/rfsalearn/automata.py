@@ -75,16 +75,6 @@ def _check_word(w, symbols):
     return w
 
 
-def _state_ids_ok(ids, n: int) -> bool:
-    """True iff the values ``ids`` are all plain ints in 0..n-1."""
-    return not ids or ({*map(type, ids)} == {int} and min(ids) >= 0 and max(ids) < n)
-
-
-def _reiterable(values):
-    """``values``, read into a tuple first when it may be a one-pass iterator."""
-    return values if isinstance(values, (tuple, list, set, frozenset)) else tuple(values)
-
-
 @dataclass(frozen=True)
 class Automaton:
     """Finite acceptor with integer states 0..n_states-1.
@@ -94,9 +84,10 @@ class Automaton:
     empty set, so the transition relation is total as a mapping but the
     machine itself may be partial.
 
-    The constructor checks and normalises input from outside: the parser,
-    the constructions of this module, the oracles and the test references
-    all build through it.  ``_from_normal`` takes fields already in normal
+    The constructor checks input from outside in one ordered scan, so that
+    an error names the first bad value, and normalises it: the parser, the
+    constructions of this module, the oracles and the test references all
+    build through it.  ``_from_normal`` takes fields already in normal
     form and checks nothing; the table derivations use it.  Both set the
     fields and the transition index in one place, ``_install``.
     """
@@ -116,49 +107,24 @@ class Automaton:
             raise InputError("negative state count")
         initial = frozenset(_check_state(q, n) for q in self.initial)
         final = frozenset(_check_state(q, n) for q in self.final)
-        entries = _reiterable(self.transitions)
-        try:
-            columns = tuple(zip(*entries))[:3]
-            if len(columns) == 3 and {*map(type, columns[2])} == {int}:  # one target each
-                triples = set(zip(*columns))
-                targets = set(columns[2])
-            else:
-                # One (q, a, r) triple per target; an entry without targets
-                # still has its state and symbol checked.
-                spread = [
-                    (e[0], e[1], r)
-                    for e in entries
-                    for r in (e[2] if isinstance(e[2], (set, frozenset)) else (e[2],))
-                ]
-                triples = set(spread)
-                targets = [r for _, _, r in spread]
-                columns = ([e[0] for e in entries], {e[1] for e in entries})
-            # Ids are typed before a set can merge an int subclass (``True``) into an int.
-            valid = {*columns[1]} <= symbol_set and _state_ids_ok((*columns[0], *targets), n)
-        except (TypeError, IndexError, KeyError):
-            valid = False
-        if not valid:
-            # A bad value, or an int subclass: scan in order, so that the
-            # error names the first bad value, and keep each id as a plain int.
-            triples = set()
-            for entry in entries:
-                q, a, rest = _check_state(entry[0], n), entry[1], entry[2]
-                _check_word((a,), symbol_set)
-                for r in rest if isinstance(rest, (set, frozenset)) else {rest}:
-                    triples.add((q, a, _check_state(r, n)))
-            targets = {r for _, _, r in triples}
-
+        # Each entry's source, then its symbol, then its targets; an entry
+        # without targets still has its source and symbol checked.
+        triples = []
+        for entry in self.transitions:
+            q, a, targets = _check_state(entry[0], n), entry[1], entry[2]
+            _check_word((a,), symbol_set)
+            for r in targets if isinstance(targets, (set, frozenset)) else (targets,):
+                triples.append((q, a, _check_state(r, n)))
         # Plain tuple order is state, then symbol in alphabet order, since the
-        # alphabet is sorted.
-        ordered = sorted(triples)
-        if len({(q, a) for q, a, _ in ordered}) == len(ordered):  # one target per pair
-            single = {r: frozenset((r,)) for r in targets}
-            normal = tuple([(q, a, single[r]) for q, a, r in ordered])
-        else:
-            grouped: dict[tuple[int, str], list[int]] = {}
-            for q, a, r in ordered:
-                grouped.setdefault((q, a), []).append(r)
-            normal = tuple((q, a, frozenset(ts)) for (q, a), ts in grouped.items())
+        # alphabet is sorted: the triples of one (q, a) pair are adjacent.
+        triples.sort()
+        merged = []
+        for q, a, r in triples:
+            if merged and merged[-1][0] == q and merged[-1][1] == a:
+                merged[-1][2].append(r)
+            else:
+                merged.append((q, a, [r]))
+        normal = tuple([(q, a, frozenset(ts)) for q, a, ts in merged])
         self._install(symbols, n, initial, final, normal, symbol_set)
 
     @classmethod

@@ -132,7 +132,7 @@ class ObservationTable:
         """Build a complete table from explicit bits.
 
         ``rows`` maps every word of RED ∪ (RED·Σ \\ RED) to its bit sequence,
-        one bit per context.
+        one bit per context; a bit is a value equal to 0 or 1, such as a bool.
         """
         symbols = _checked_alphabet(tuple(alphabet))[1]
         given = [_check_word(tuple(s), symbols) for s in red]
@@ -152,6 +152,8 @@ class ObservationTable:
             bits = list(rows[w])
             if len(bits) != len(contexts):
                 raise InputError(f"row for {w!r} has wrong width")
+            if any(bit not in (0, 1) for bit in bits):
+                raise InputError(f"row for {w!r} has a bit other than 0 or 1")
             return _pack(bits)
 
         return cls._build(alphabet, red, contexts, lambda words: [mask_of(w) for w in words])

@@ -1,11 +1,12 @@
 """``Automaton``'s constructor: one test per rejection message, and agreement
 with the scan-everything normaliser in ``helpers`` on random raw inputs."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import AB, reference_normalise
-from rfsalearn.automata import Automaton, InputError
+from helpers import AB, nth_from_end_nfa, reference_normalise
+from rfsalearn.automata import Automaton, InputError, determinize
+from rfsalearn.residuals import canonical_rfsa
 from rfsalearn.tables import ObservationTable
 
 
@@ -63,6 +64,17 @@ def test_observation_table_rejects_foreign_symbols_like_add_context():
         assert str(info.value) == f"symbol {symbol!r} not in alphabet"
 
 
+def test_observation_table_rejects_cells_other_than_0_or_1():
+    rows = {(): [0], ("a",): [1], ("b",): [0]}
+    # The row with the bad cell is named; bools are bits.
+    for word, cell in [((), "0"), (("a",), 2), (("b",), None), (("a",), "1"), ((), 0.5)]:
+        with pytest.raises(InputError) as info:
+            ObservationTable.from_rows(AB, [()], [()], {**rows, word: [cell]})
+        assert str(info.value) == f"row for {word!r} has a bit other than 0 or 1"
+    table = ObservationTable.from_rows(AB, [()], [()], {(): [False], ("a",): [True], ("b",): [0]})
+    assert (table.row(()), table.row(("a",))) == ((0,), (1,))
+
+
 def test_bad_alphabet_raises_on_every_call():
     for _ in range(2):
         rejects("bad alphabet symbol ''", alphabet=("b", ""))
@@ -112,7 +124,8 @@ def test_first_offending_entry_is_named():
 
 
 def test_entries_are_read_by_index():
-    # ``zip`` reads a mapping entry's keys; the ordered scan indexes it and decides.
+    # The scan reads an entry's source, symbol and targets at indices 0, 1
+    # and 2, so a mapping entry gives its values there and not its keys.
     a = Automaton(AB, 3, {0}, {0}, [{0: 0, 1: "a", 2: 1}])
     assert a.transitions == ((0, "a", frozenset({1})),)
 
@@ -166,7 +179,18 @@ def raw_automata(draw):
     return tuple(alphabet), n, initial, draw(st.lists(state, max_size=3)), entries
 
 
+def fields(a):
+    return a.alphabet, a.n_states, a.initial, a.final, a.transitions
+
+
+# The bench's size: a 64-state DFA with one target per pair, and its
+# canonical RFSA, whose arcs have several targets.
+NTH_6 = determinize(nth_from_end_nfa(6))
+
+
 @given(raw_automata())
+@example(fields(NTH_6))
+@example(fields(canonical_rfsa(NTH_6)))
 @settings(max_examples=200, deadline=None)
 def test_constructor_matches_reference_normaliser(raw):
     try:

@@ -33,6 +33,7 @@ from rfsalearn.automata import (
     reverse_automaton,
     shortest_difference_witness,
     trim,
+    useful_states,
     word,
 )
 from rfsalearn.cli import ALGORITHMS, generate_corpus
@@ -156,8 +157,20 @@ EDGE_TARGETS = [
 def test_derivations_build_what_the_checked_constructor_builds(monkeypatch):
     # Every hypothesis the table derivations hand to the normal-form builder
     # is built again through ``Automaton(...)`` and ``reference_normalise``.
+    # Inside a learner call, the checked constructor builds only
+    # ``two_step_prime_contexts``'s 0-state answer for the empty language.
     from_normal = Automaton._from_normal.__func__
+    post_init = Automaton.__post_init__
     callers = set()
+    built = []  # (learner, target index, caller, n_states) per checked build in a learner call
+    run = None
+
+    def counted(self):
+        # ``checked`` below rebuilds each hypothesis itself; those builds are the test's.
+        caller = sys._getframe(2).f_code.co_name
+        if run is not None and caller != "checked":
+            built.append((*run, caller, self.n_states))
+        post_init(self)
 
     def checked(cls, *fields):
         callers.add(sys._getframe(1).f_code.co_name)
@@ -172,11 +185,19 @@ def test_derivations_build_what_the_checked_constructor_builds(monkeypatch):
         return auto
 
     monkeypatch.setattr(Automaton, "_from_normal", classmethod(checked))
-    for target in HAND_TARGETS + pinned_targets() + EDGE_TARGETS:
+    monkeypatch.setattr(Automaton, "__post_init__", counted)
+    targets = HAND_TARGETS + pinned_targets() + EDGE_TARGETS
+    for i, target in enumerate(targets):
         for learner in ALL_LEARNERS:
-            result = learner(TeacherSession(target))
+            session = TeacherSession(target)
+            run = (learner.__name__, i)
+            result = learner(session)
+            run = None
             assert shortest_difference_witness(result.hypothesis, target) is None
     assert callers == {"derive_dfa_with_reps", "derive_rfsa", "derive_reversal_rfsa"}
+    empty = [i for i, target in enumerate(targets) if not useful_states(target)]
+    assert len(empty) == 2  # the hand-made empty language and the 0-state edge target
+    assert built == [("two_step_prime_contexts", i, "two_step_prime_contexts", 0) for i in empty]
 
 
 # ------------------------------------------------------------------ALL correct
