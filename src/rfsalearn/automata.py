@@ -12,7 +12,6 @@ in normal form, use the unchecked builder ``Automaton._from_normal``.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
@@ -288,22 +287,42 @@ def least_words(starts, successors):
 
     Every start node has the empty word; ``successors(node)`` lists
     ``(symbol, node)`` pairs in alphabet order.  Nodes come out breadth-first
-    and each is expanded only after it is yielded, so a caller that stops at
-    the first hit expands nothing past it.  The words are
+    and each is expanded only after it is yielded.  The words are
     length-lexicographically least when no two nodes can share a word (one
     start node, at most one successor per symbol), as in every deterministic
     search here; otherwise they are still shortest.
     """
     words = dict.fromkeys(starts, EPSILON)
-    queue = deque(words)
-    while queue:
-        node = queue.popleft()
+    queue = list(words)
+    for node in queue:  # the loop runs on over the nodes appended while it runs
         w = words[node]
         yield node, w
         for a, nxt in successors(node):
             if nxt not in words:
                 words[nxt] = w + (a,)
                 queue.append(nxt)
+
+
+def _first_hit(start, successors, hit) -> Word | None:
+    """The word :func:`least_words` gives the first node it yields on which ``hit`` holds, or None.
+
+    Each node is tested when first reached and keeps only a ``(node, symbol)`` link back.
+    """
+    if hit(start):
+        return EPSILON
+    links, queue = {start: None}, [start]
+    for node in queue:
+        for a, nxt in successors(node):
+            if nxt not in links:
+                links[nxt] = node, a
+                if hit(nxt):
+                    out = []
+                    while (link := links[nxt]) is not None:
+                        nxt, a = link
+                        out.append(a)
+                    return tuple(reversed(out))
+                queue.append(nxt)
+    return None
 
 
 def reverse_automaton(a: Automaton) -> Automaton:
@@ -431,7 +450,7 @@ def least_difference(alphabet, side_a, side_b) -> Word | None:
     Each side is ``(start, finals, step)``: ``step(state, symbol)`` is the
     state after one symbol, and a state accepts iff ``state & finals`` is
     non-empty, so states may be frozensets or int masks.  The pairs are
-    searched breadth-first and only the pairs reached are built.
+    searched by :func:`_first_hit`, so only the pairs reached are built.
     """
     (start_a, final_a, step_a), (start_b, final_b, step_b) = side_a, side_b
 
@@ -439,10 +458,7 @@ def least_difference(alphabet, side_a, side_b) -> Word | None:
         sa, sb = pair
         return [(sym, (step_a(sa, sym), step_b(sb, sym))) for sym in alphabet]
 
-    for (sa, sb), w in least_words(((start_a, start_b),), successors):
-        if bool(sa & final_a) != bool(sb & final_b):
-            return w
-    return None
+    return _first_hit((start_a, start_b), successors, lambda ab: bool(ab[0] & final_a) != bool(ab[1] & final_b))
 
 
 def _forward_side(a: Automaton):
@@ -474,8 +490,8 @@ class _ResidualOrder:
     ``dist[p][q]`` is the length of the shortest word in L_p \\ L_q, or -1 when
     L_p ⊆ L_q.  It comes from one backward breadth-first search over the pair
     graph seeded at the (final, non-final) pairs, so all pairs together cost
-    O(n²·|Σ|), and it is computed on first use only, as is ``includes``, the
-    inclusion matrix read off it.
+    O(n²·|Σ|).  It is computed on first use only, as are the inclusion matrix
+    ``includes`` and the excess search's start masks ``below``, read off it.
     """
 
     def __init__(self, dfa: Automaton):
@@ -492,34 +508,42 @@ class _ResidualOrder:
         n, final, preds = self.n, self.final_mask, self.dfa._preds
         # pre[i][q]: the predecessors of q on the i-th symbol, indexed for the hot loop
         pre = [[preds.get((q, a), ()) for q in range(n)] for a in self.alphabet]
-        dist = [[-1] * n for _ in range(n)]
-        frontier = []
-        for p in range(n):
-            if final >> p & 1:
-                for q in range(n):
-                    if not final >> q & 1:
-                        dist[p][q] = 0
-                        frontier.append((p, q))
+        is_final = [final >> q & 1 for q in range(n)]
+        seeded = [-1 if f else 0 for f in is_final]
+        dist = [seeded.copy() if f else [-1] * n for f in is_final]
+        frontier = [(p, q) for p, f in enumerate(is_final) if f for q, g in enumerate(is_final) if not g]
         d = 0
         while frontier:
             d += 1
             reached = []
-            for p, q in frontier:
-                for by_state in pre:
+            # One symbol at a time, skipping pairs without predecessors on it.
+            for by_state in pre:
+                for p, q in frontier:
                     sources = by_state[q]
-                    for p2 in by_state[p]:
-                        row = dist[p2]
-                        for q2 in sources:
-                            if row[q2] < 0:
-                                row[q2] = d
-                                reached.append((p2, q2))
+                    if sources:
+                        for p2 in by_state[p]:
+                            row = dist[p2]
+                            for q2 in sources:
+                                if row[q2] < 0:
+                                    row[q2] = d
+                                    reached.append((p2, q2))
             frontier = reached
         return dist
 
     @functools.cached_property
     def includes(self) -> tuple[tuple[bool, ...], ...]:
         """``includes[p][q]`` says L_p ⊆ L_q."""
-        return tuple(tuple(d < 0 for d in row) for row in self.dist)
+        return tuple([tuple([d < 0 for d in row]) for row in self.dist])
+
+    @functools.cached_property
+    def below(self) -> list[int]:
+        """``below[q]``: the mask of the states p != q with L_p ⊆ L_q."""
+        out = [0] * self.n
+        for p, row in enumerate(self.includes):
+            for q, inc in enumerate(row):
+                if inc and p != q:
+                    out[q] |= 1 << p
+        return out
 
     def _walk(self, p: int, q: int) -> Word:
         """The length-lex least word in L_p \\ L_q, which must not be empty.
@@ -529,6 +553,8 @@ class _ResidualOrder:
         """
         dist = self.dist
         d, out = dist[p][q], []
+        if d < 0:
+            raise ContractError(f"no word in L_{p} \\ L_{q}: L_{p} ⊆ L_{q}")
         while d > 0:
             d -= 1
             for a, row, _ in self.steps:
@@ -539,15 +565,14 @@ class _ResidualOrder:
                     break
         return tuple(out)
 
-    def excess_witness(self, q: int, includes) -> Word | None:
+    def excess_witness(self, q: int) -> Word | None:
         """Least word of L_q outside the union of the L_p strictly below q, if any.
 
-        ``includes[p][q]`` says L_p ⊆ L_q.  Breadth-first over pairs of a state
-        and the bit mask of the states the union has reached by the same word;
-        a pair whose state lies in its mask is dropped, since from there every
-        word the state accepts the mask accepts too.
+        The first hit of :func:`_first_hit` over pairs of a state and the bit
+        mask of the states ``below[q]`` reach by the same word: a final state
+        whose mask holds no final one.  A pair whose state lies in its mask is
+        dropped, since from there every word the state accepts the mask accepts too.
         """
-        below = sum(1 << p for p in range(self.n) if p != q and includes[p][q])
         final, steps = self.final_mask, self.steps
 
         def successors(node):
@@ -557,10 +582,7 @@ class _ResidualOrder:
                 if not stepped >> t & 1:
                     yield a, (t, stepped)
 
-        for (s, mask), w in least_words(((q, below),), successors):
-            if final >> s & 1 and not mask & final:
-                return w
-        return None
+        return _first_hit((q, self.below[q]), successors, lambda sm: final >> sm[0] & 1 and not sm[1] & final)
 
 
 def _joint_colors(a: Automaton, b: Automaton) -> tuple[list[int], list[int]]:

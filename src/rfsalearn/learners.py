@@ -101,10 +101,9 @@ def _residual_order_contexts(auto: Automaton) -> list[Word]:
     is what reading an RFSA off the finished table requires.
     """
     order = _ResidualOrder(auto)
-    includes = order.includes
-    contexts = [order._walk(p, q) for p, row in enumerate(includes) for q, inc in enumerate(row) if not inc]
+    contexts = [order._walk(p, q) for p, row in enumerate(order.includes) for q, inc in enumerate(row) if not inc]
     for q in range(auto.n_states):
-        witness = order.excess_witness(q, includes)
+        witness = order.excess_witness(q)
         if witness is not None:
             contexts.append(witness)
     return contexts

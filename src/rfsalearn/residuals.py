@@ -62,13 +62,15 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
         raise error
     if len(set(order.includes)) != l_dfa.n_states:
         raise error
-    return ResidualIndex(l_dfa, order.includes)
+    index = ResidualIndex(l_dfa, order.includes)
+    vars(index)["_order"] = order  # the cached ``_order``; an index built by hand builds its own
+    return index
 
 
 def is_prime(index: ResidualIndex, q: int) -> bool:
     """True iff the residual of ``q`` exceeds the union of those strictly inside it."""
     _check_state(q, index.base.n_states)
-    return index._order.excess_witness(q, index.includes) is not None
+    return index._order.excess_witness(q) is not None
 
 
 def canonical_rfsa(l_dfa: Automaton) -> Automaton:

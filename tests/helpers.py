@@ -13,7 +13,6 @@ tests use (two row predicates over ``ObservationTable.row`` and a
 brute-force distinguishing-context count), and the query log and digests
 that pin every observable output of the learners on a fixed slice of
 targets."""
-import dataclasses
 import hashlib
 from collections import deque
 from itertools import combinations
@@ -31,7 +30,6 @@ from rfsalearn.automata import (
     minimize,
     reverse_automaton,
     reverse_word,
-    shortest_difference_witness,
     trim,
     useful_states,
     word,
@@ -160,9 +158,9 @@ def table_from_bits(red, contexts, red_bits, blue_bits=None, alphabet=AB):
 # ------------------------------------------- per-pair residual-order reference
 #
 # One search per state pair or state, on total DFAs, written independently of
-# ``automata._ResidualOrder``: inclusion by depth-first product reachability,
-# witnesses by breadth-first product search, composedness by the subset-product
-# walk of ``shortest_difference_witness``.
+# ``automata._ResidualOrder`` and of the package's searches: inclusion by
+# depth-first product reachability, witnesses by breadth-first product search,
+# composedness by a breadth-first search over a state paired with a state set.
 
 
 def reference_included(dfa, q1, q2):
@@ -212,9 +210,19 @@ def reference_separating_word(dfa, p, q):
 def reference_excess_witness(dfa, includes, q):
     """Least word of L_q outside the union of the residuals strictly below it."""
     below = frozenset(p for p in range(dfa.n_states) if p != q and includes[p][q])
-    union_nfa = dataclasses.replace(dfa, initial=below)
-    single = dataclasses.replace(dfa, initial=frozenset({q}))
-    return shortest_difference_witness(single, union_nfa)
+    seen = {(q, below)}
+    queue = deque([(q, below, ())])
+    while queue:
+        s, states, w = queue.popleft()
+        if s in dfa.final and not states & dfa.final:
+            return w
+        for a in dfa.alphabet:
+            (t,) = dfa.step(s, a)
+            nxt = (t, frozenset(r for p in states for r in dfa.step(p, a)))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((*nxt, w + (a,)))
+    return None
 
 
 def reference_residual_order_contexts(dfa):

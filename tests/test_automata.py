@@ -12,8 +12,10 @@ from helpers import (
     empty_lang,
     ends_a,
     even_a,
+    minimal_dfas,
     nfa_ends_a,
     nth_from_end_nfa,
+    reference_includes,
     reference_is_total,
     reference_mask_union,
     starts_a,
@@ -24,11 +26,15 @@ from rfsalearn.automata import (
     ContractError,
     InputError,
     ParseError,
+    _first_hit,
+    _forward_side,
     _ResidualOrder,
+    _reversed_side,
     determinize,
     determinize_labeled,
     format_automaton,
     isomorphic,
+    least_difference,
     least_words,
     mask_union,
     minimize,
@@ -580,17 +586,27 @@ def test_trim_preserves_membership_random(a):
 
 
 # ------------------------------------------------- least words, by brute force
+#
+# ``_first_hit`` is the one search behind the difference walk and the excess
+# witness.  Each result is checked against plain enumeration over
+# ``all_words``, which is exact up to ``HIT_BOUND``; past it, a result must
+# still be a hit, and longer than the bound.
+
+HIT_BOUND = 6
+
+
+def assert_first_hit(got, alphabet, hit):
+    expected = next((w for w in all_words(alphabet, HIT_BOUND) if hit(w)), None)
+    if expected is None:
+        assert got is None or (len(got) > HIT_BOUND and hit(got))
+    else:
+        assert got == expected
 
 
 @given(automata(), automata())
 @settings(max_examples=80, deadline=None)
 def test_difference_witness_is_first_differing_word(a, b):
-    expected = next((w for w in all_words(AB, 6) if a.accepts(w) != b.accepts(w)), None)
-    got = shortest_difference_witness(a, b)
-    if expected is None:
-        assert got is None or len(got) > 6
-    else:
-        assert got == expected
+    assert_first_hit(shortest_difference_witness(a, b), AB, lambda w: a.accepts(w) != b.accepts(w))
 
 
 @st.composite
@@ -613,6 +629,48 @@ def test_least_words_are_least_access_words(dfa):
     found = list(least_words(dfa.initial, dfa._arcs))
     assert dict(found) == expected
     assert [w for _, w in found] == sorted(expected.values(), key=lambda w: (len(w), w))
+
+
+@given(automata(), automata())
+@settings(max_examples=80, deadline=None)
+def test_least_difference_reversed_side_matches_enumeration(h, t):
+    got = least_difference(AB, _reversed_side(h), _forward_side(t))
+    assert_first_hit(got, AB, lambda w: h.accepts(reverse_word(w)) != t.accepts(w))
+
+
+@given(minimal_dfas())
+@settings(max_examples=60, deadline=None)
+def test_excess_witness_matches_enumeration(dfa):
+    order, includes = _ResidualOrder(dfa), reference_includes(dfa)
+    for q in range(dfa.n_states):
+        below = [p for p in range(dfa.n_states) if p != q and includes[p][q]]
+
+        def excess(w):
+            return dfa.accepts_from(q, w) and not any(dfa.accepts_from(p, w) for p in below)
+
+        assert_first_hit(order.excess_witness(q), dfa.alphabet, excess)
+
+
+def test_first_hit_at_the_start_is_the_empty_word():
+    def never(node):
+        raise AssertionError("a hit at the start expands nothing")
+
+    assert _first_hit(0, never, lambda node: True) == ()
+    assert least_difference(AB, _forward_side(empty_lang()), _forward_side(universal_lang())) == ()
+    # L_1 of ends_a holds the empty word and L_0 below it does not.
+    assert _ResidualOrder(ends_a()).excess_witness(1) == ()
+
+
+def test_first_hit_unreachable_is_none():
+    graph = {0: [("a", 1), ("b", 2)], 1: [("a", 0)], 2: [("b", 2)], 3: [("a", 0)]}
+    assert _first_hit(0, graph.__getitem__, lambda node: node == 3) is None
+    assert _first_hit(0, graph.__getitem__, lambda node: node == 2) == ("b",)
+    assert least_difference(AB, _forward_side(even_a()), _forward_side(minimize(even_a()))) is None
+    rev = reverse_automaton(nfa_ends_a())
+    assert least_difference(AB, _reversed_side(rev), _forward_side(ends_a())) is None
+    # The 2nd-from-end language has one composed residual: it has no excess.
+    order = _ResidualOrder(minimize(nth_from_end_nfa(2)))
+    assert [order.excess_witness(q) is None for q in range(order.n)].count(True) == 1
 
 
 @given(st.one_of(automata(), small_dfas()))

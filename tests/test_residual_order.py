@@ -24,6 +24,7 @@ from rfsalearn.automata import (
     shortest_difference_witness,
     trim,
 )
+from rfsalearn.cli import generate_corpus
 from rfsalearn.learners import _residual_order_contexts, two_step_prime_contexts
 from rfsalearn.residuals import (
     ResidualIndex,
@@ -78,6 +79,17 @@ def test_kernel_matches_reference_random(dfa):
 def test_kernel_rejects_nondeterministic_input():
     with pytest.raises(ContractError, match="state 0 has 2 successors on 'a'"):
         _ResidualOrder(nfa_ends_a())
+
+
+def test_walk_rejects_an_included_pair():
+    dfa = generate_corpus(1, 8, 2, 42)[0]
+    order = _ResidualOrder(dfa)
+    with pytest.raises(ContractError, match="L_0 ⊆ L_0"):
+        order._walk(0, 0)
+    included = [(p, q) for p, row in enumerate(order.includes) for q, inc in enumerate(row) if inc]
+    for p, q in included:
+        with pytest.raises(ContractError):
+            order._walk(p, q)
 
 
 def test_kernel_rejects_partial_input():
