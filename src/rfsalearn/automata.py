@@ -5,7 +5,8 @@ A single ``Automaton`` type covers DFAs, NFAs and partial machines; the
 value happens to satisfy.  Values are frozen, so they are safe to share
 between threads or processes.  Every construction returns a fresh automaton,
 except that ``minimize`` returns an input that is already its own canonical
-minimal DFA.  Every construction here goes through the checked constructor;
+minimal DFA and ``determinize`` an input that its subset construction would
+only rebuild.  Every construction here goes through the checked constructor;
 only the table derivations, which read their hypotheses off a table already
 in normal form, use the unchecked builder ``Automaton._from_normal``.
 """
@@ -217,6 +218,17 @@ class Automaton:
                 preds.setdefault((r, a), []).append(q)
         return preds
 
+    @functools.cached_property
+    def _pred_masks(self) -> list[list[int]]:
+        """``pre[i][r]``: the mask of the states with an arc on the i-th symbol into ``r``."""
+        position = {a: i for i, a in enumerate(self.alphabet)}
+        pre = [[0] * self.n_states for _ in self.alphabet]
+        for q, a, targets in self.transitions:
+            row, bit = pre[position[a]], 1 << q
+            for r in targets:
+                row[r] |= bit
+        return pre
+
     @property
     def is_deterministic(self) -> bool:
         return len(self.initial) == 1 and all(len(ts) <= 1 for _, _, ts in self.transitions)
@@ -331,8 +343,34 @@ def reverse_automaton(a: Automaton) -> Automaton:
     return Automaton(a.alphabet, a.n_states, a.final, a.initial, tuple(arcs))
 
 
+def _numbered_breadth_first(dfa: Automaton) -> bool:
+    """True iff ``dfa`` starts at 0 alone and a breadth-first walk from there visits 0..n-1 in order.
+
+    The walk takes the symbols in alphabet order; ``dfa`` must be a total DFA.
+    """
+    if dfa.initial != {0}:
+        return False
+    reached = 1  # the walk has numbered the states 0..reached-1 so far
+    for q, targets in enumerate(zip(*dfa._delta)):
+        if q == reached:  # no state before q leads to it
+            return False
+        for t in targets:
+            if t == reached:
+                reached += 1
+            elif t > reached:  # the walk would number t as reached
+                return False
+    return reached == dfa.n_states  # not so without symbols and with more than one state
+
+
 def determinize(a: Automaton) -> Automaton:
-    """Deterministic, total, language-equivalent automaton (subset construction)."""
+    """Deterministic, total, language-equivalent automaton (subset construction).
+
+    A total DFA that starts at state 0 and whose breadth-first walk from there
+    visits its states 0..n-1 in order is returned as it is: the subset
+    construction would rebuild an equal value.
+    """
+    if a.is_total and a.is_deterministic and _numbered_breadth_first(a):
+        return a
     return determinize_labeled(a)[0]
 
 
@@ -473,12 +511,7 @@ def _reversed_side(a: Automaton):
     to the predecessors, so no reversed automaton is built; ``a`` may be
     nondeterministic or partial.
     """
-    # pre[sym][r]: the mask of the states with a ``sym``-arc into r.
-    pre = {sym: [0] * a.n_states for sym in a.alphabet}
-    for q, sym, targets in a.transitions:
-        row, bit = pre[sym], 1 << q
-        for r in targets:
-            row[r] |= bit
+    pre = dict(zip(a.alphabet, a._pred_masks))
     start = sum(1 << q for q in a.final)
     finals = sum(1 << q for q in a.initial)
     return start, finals, lambda mask, sym: mask_union(pre[sym], mask)

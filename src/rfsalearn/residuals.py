@@ -1,13 +1,19 @@
 """Residual languages of a regular language and the canonical RFSA built from them.
 
 Everything here works on exact language comparisons, never on bounded word
-enumeration.  Residual inclusion and primality come from the residual-order
-kernel in ``automata``: one backward search over the state pairs of the
-minimal DFA gives every inclusion, and primality is a search over a state
-paired with the set of states below it.  ``prime2step`` uses the same kernel,
-so the canonical RFSA is not independent of that learner; ``c_of_b`` (subset
-construction on the reversal) and the final language check stay independent
-of it.
+enumeration.  ``residual_index`` reads residual inclusion and primality off
+the co-reachable sets of the minimal DFA, S_w = {q : δ(q, w) ∈ F}, which are
+the reachable subsets of its reversal: w is in L_q iff q is in S_w, so L_p ⊆
+L_q iff every set that holds p also holds q, and q is prime iff some set
+holds q and none of the states strictly below it.  The search for the sets
+stops once it has found more of them than the DFA has states; past that cap
+the index falls back to the residual-order kernel ``_ResidualOrder`` of
+``automata``, one backward search over the state pairs for every inclusion
+and one search over a state paired with the set of states below it per
+primality test.  So the oracle shares no code with ``prime2step`` on a
+language under the cap and shares that kernel with it past the cap;
+``c_of_b`` (subset construction on the reversal, over frozensets) and the
+canonical RFSA's final language check stay independent of it on both sides.
 """
 from __future__ import annotations
 
@@ -18,11 +24,12 @@ from .automata import (
     Automaton,
     ContractError,
     InputError,
+    _numbered_breadth_first,
     _ResidualOrder,
     _check_state,
     determinize_labeled,
     is_covered,
-    least_words,
+    mask_union,
     shortest_difference_witness,
 )
 
@@ -32,7 +39,11 @@ class ResidualIndex:
     """Residuals of a language, one per state of its minimal DFA.
 
     ``includes[i][j]`` says the residual of state ``i`` is a subset of the
-    residual of state ``j``; the primality tests share ``_order``, built once.
+    residual of state ``j``.  ``residual_index`` also keeps, as int masks,
+    ``_below[q]`` (the states whose residual lies strictly inside that of
+    ``q``) and ``_primes`` (the prime states).  Under the cap on co-reachable
+    sets it reads both off the sets; past it, and for an index built by hand,
+    they come from the residual-order kernel ``_order``, built on first use.
     """
 
     base: Automaton
@@ -41,6 +52,40 @@ class ResidualIndex:
     @functools.cached_property
     def _order(self) -> _ResidualOrder:
         return _ResidualOrder(self.base)
+
+    @functools.cached_property
+    def _below(self) -> list[int]:
+        return self._order.below
+
+    @functools.cached_property
+    def _primes(self) -> int:
+        order = self._order
+        return sum(1 << q for q in range(self.base.n_states) if order.excess_witness(q) is not None)
+
+
+def _coreachable_sets(dfa: Automaton) -> list[int] | None:
+    """The distinct co-reachable sets of a total DFA as masks, or None once they outnumber its states.
+
+    They are the subsets reachable from the final set by predecessor steps,
+    in breadth-first order.
+    """
+    n, pre = dfa.n_states, dfa._pred_masks
+    final = sum(1 << q for q in dfa.final)
+    sets, seen = [final], {final}
+    for s in sets:  # the loop runs on over the sets appended while it runs
+        for by_state in pre:
+            t = mask_union(by_state, s)
+            if t not in seen:
+                if len(sets) == n:
+                    return None
+                seen.add(t)
+                sets.append(t)
+    return sets
+
+
+def _row(mask: int, n: int) -> tuple[bool, ...]:
+    """The first ``n`` bits of ``mask`` as bools, lowest first."""
+    return tuple([c == "1" for c in reversed(format(mask, f"0{n}b"))])
 
 
 def residual_index(l_dfa: Automaton) -> ResidualIndex:
@@ -51,26 +96,44 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
     two states have the same residual, that is the same row of inclusions.
     """
     error = ContractError("expected a minimal DFA in canonical numbering")
-    if l_dfa.initial != {0}:
-        raise error
     try:
+        numbered = _numbered_breadth_first(l_dfa)
+    except ContractError:  # not a total DFA
+        numbered = False
+    if not numbered:
+        raise error
+    n = l_dfa.n_states
+    sets = _coreachable_sets(l_dfa)
+    if sets is None:
         order = _ResidualOrder(l_dfa)
-    except ContractError:
-        raise error from None
-    walk = least_words((0,), lambda q: [(a, row[q]) for a, row, _ in order.steps])
-    if [q for q, _ in walk] != list(range(l_dfa.n_states)):
+        if len(set(order.includes)) != n:
+            raise error
+        index = ResidualIndex(l_dfa, order.includes)
+        vars(index)["_order"] = order  # the cached ``_order``; an index built by hand builds its own
+        return index
+    # up[p]: the AND of the sets that hold p, so bit q says L_p ⊆ L_q; down[q]:
+    # the states in no set without q, so the p with L_p ⊆ L_q, q among them.
+    full = (1 << n) - 1
+    up, down = [full] * n, [full] * n
+    for s in sets:
+        for q in range(n):
+            if s >> q & 1:
+                up[q] &= s
+            else:
+                down[q] &= ~s
+    if len(set(up)) != n:
         raise error
-    if len(set(order.includes)) != l_dfa.n_states:
-        raise error
-    index = ResidualIndex(l_dfa, order.includes)
-    vars(index)["_order"] = order  # the cached ``_order``; an index built by hand builds its own
+    below = [d ^ 1 << q for q, d in enumerate(down)]
+    primes = sum(1 << q for q in range(n) if any(s >> q & 1 and not s & below[q] for s in sets))
+    index = ResidualIndex(l_dfa, tuple([_row(u, n) for u in up]))
+    vars(index).update(_below=below, _primes=primes)  # the cached masks, read off the sets
     return index
 
 
 def is_prime(index: ResidualIndex, q: int) -> bool:
     """True iff the residual of ``q`` exceeds the union of those strictly inside it."""
     _check_state(q, index.base.n_states)
-    return index._order.excess_witness(q) is not None
+    return bool(index._primes >> q & 1)
 
 
 def canonical_rfsa(l_dfa: Automaton) -> Automaton:
@@ -81,19 +144,20 @@ def canonical_rfsa(l_dfa: Automaton) -> Automaton:
     word, and arcs go to every prime inside the stepped residual.
     """
     index = residual_index(l_dfa)
-    primes = [q for q in range(l_dfa.n_states) if is_prime(index, q)]
-    number = {q: i for i, q in enumerate(primes)}
-    (start,) = l_dfa.initial
-    initial = frozenset(number[q] for q in primes if index.includes[q][start])
-    final = frozenset(number[q] for q in primes if q in l_dfa.final)
-    arcs = []
-    for q in primes:
-        for a in l_dfa.alphabet:
-            (t,) = l_dfa.step(q, a)
-            for p in primes:
-                if index.includes[p][t]:
-                    arcs.append((number[q], a, number[p]))
-    result = Automaton(l_dfa.alphabet, len(primes), initial, final, tuple(arcs))
+    primes, below = index._primes, index._below
+    ids = [q for q in range(l_dfa.n_states) if primes >> q & 1]
+    number = {q: i for i, q in enumerate(ids)}
+
+    @functools.cache
+    def inside(t: int) -> frozenset[int]:
+        """The numbers of the primes whose residual lies inside L_t."""
+        mask = (below[t] | 1 << t) & primes
+        return frozenset([number[p] for p in ids if mask >> p & 1])
+
+    final = frozenset(number[q] for q in ids if q in l_dfa.final)
+    rows = list(zip(l_dfa.alphabet, l_dfa._delta))
+    arcs = tuple([(number[q], a, inside(row[q])) for q in ids for a, row in rows])
+    result = Automaton(l_dfa.alphabet, len(ids), inside(0), final, arcs)
     if shortest_difference_witness(result, l_dfa) is not None:
         raise RuntimeError("canonical RFSA construction changed the language")
     return result

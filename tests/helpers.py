@@ -35,7 +35,7 @@ from rfsalearn.automata import (
     word,
 )
 from rfsalearn.cli import generate_corpus
-from rfsalearn.residuals import canonical_rfsa, reachable_state_sets, residual_index
+from rfsalearn.residuals import canonical_rfsa, is_prime, reachable_state_sets, residual_index
 from rfsalearn.tables import (
     ModifiedTable,
     ObservationTable,
@@ -596,6 +596,59 @@ def min_distinguishing_context_count(l_dfa, budget=4):
             if all(any((q1 in c) != (q2 in c) for c in chosen) for q1, q2 in pairs):
                 return k
     raise RuntimeError("realizable columns failed to separate a minimal DFA")
+
+
+# ------------------------------------------------------------ residual labels
+
+
+def renumbered(a, perm):
+    """``a`` with state ``q`` renamed ``perm[q]``."""
+    arcs = [(perm[q], sym, perm[t]) for q, sym, ts in a.transitions for t in ts]
+    return Automaton(a.alphabet, a.n_states, {perm[q] for q in a.initial}, {perm[q] for q in a.final}, arcs)
+
+
+def residual_labels(alg, result):
+    """The word naming the residual of each state of an RFSA learner's hypothesis, in state order.
+
+    A state of ``nlstar`` or ``prime2step`` is a row s of the final table's
+    ``ncov_red()`` and stands for s⁻¹L; a state of ``rev2step`` is a column e
+    of the reduced table and stands for rev(e)⁻¹L.
+    """
+    if not result.hypothesis.n_states:  # the empty language: nothing to name
+        return []
+    if alg == "rev2step":
+        return [reverse_word(e) for e in result.final_table.table.contexts]
+    return list(result.final_table.ncov_red())
+
+
+def label_problem(alg, result, target):
+    """None when the hypothesis, renumbered by its labels, equals ``canonical_rfsa(minimize(target))``.
+
+    Each label is run in ``minimize(target)``; the state it reaches must be
+    prime, and the canonical RFSA numbers the primes in state order.
+    Otherwise the first state at fault, its word and the residual it names.
+    """
+    base = minimize(target)
+    index = residual_index(base)
+    primes = [q for q in range(base.n_states) if is_prime(index, q)]
+    number = {q: i for i, q in enumerate(primes)}
+    words = residual_labels(alg, result)
+    named = [min(base.run(base.initial, w)) for w in words]  # the one state each word reaches
+    for i, (w, q) in enumerate(zip(words, named)):
+        if q not in number:
+            return f"state {i}, word {''.join(w)!r}: residual of state {q}, which is not prime"
+    perm = [number[q] for q in named]
+    if sorted(perm) != list(range(len(primes))):
+        return f"labels name the residuals of states {named}, not the primes {primes}"
+    renamed, canonical = renumbered(result.hypothesis, perm), canonical_rfsa(base)
+    if renamed == canonical:
+        return None
+
+    def shape(a, j):
+        return j in a.initial, j in a.final, [a.step(j, sym) for sym in a.alphabet]
+
+    i = next(i for i, j in enumerate(perm) if shape(renamed, j) != shape(canonical, j))
+    return f"state {i}, word {''.join(words[i])!r}: differs from the prime residual of state {named[i]}"
 
 
 # ------------------------------------------------------------------ pinned outputs

@@ -4,7 +4,7 @@ import itertools
 import random
 
 from conftest import CRITERION_LINES, LEARNERS
-from helpers import min_distinguishing_context_count, table_from_bits, third_from_end_a
+from helpers import label_problem, min_distinguishing_context_count, table_from_bits, third_from_end_a
 from rfsalearn.automata import (
     determinize,
     format_automaton,
@@ -48,6 +48,12 @@ def test_c02_reversal_two_step_canonical(corpus_runs):
         for run in runs
         if not isomorphic(run.results["rev2step"].hypothesis, run.canonical)
     ]
+    # Renumbered by the residual each state names, the hypothesis is the canonical RFSA itself.
+    failures += [
+        (run.language_id, problem)
+        for run in runs
+        if (problem := label_problem("rev2step", run.results["rev2step"], run.target))
+    ]
     report(2, "reversal two-step yields the canonical RFSA", failures)
 
 
@@ -58,6 +64,8 @@ def test_c03_nlstar_and_prime_contexts_canonical(corpus_runs):
         for alg in ("nlstar", "prime2step"):
             if not isomorphic(run.results[alg].hypothesis, run.canonical):
                 failures.append((run.language_id, alg))
+            if problem := label_problem(alg, run.results[alg], run.target):
+                failures.append((run.language_id, alg, problem))
     report(3, "direct and prime-context learners yield the canonical RFSA", failures)
 
 

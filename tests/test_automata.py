@@ -18,6 +18,7 @@ from helpers import (
     reference_includes,
     reference_is_total,
     reference_mask_union,
+    renumbered,
     starts_a,
     universal_lang,
 )
@@ -28,6 +29,7 @@ from rfsalearn.automata import (
     ParseError,
     _first_hit,
     _forward_side,
+    _numbered_breadth_first,
     _ResidualOrder,
     _reversed_side,
     determinize,
@@ -175,6 +177,67 @@ def test_determinize_empty_initial():
     det = determinize(a)
     assert det.final == frozenset()
     assert not det.accepts(word("a"))
+
+
+def _with_unreachable(dfa, to=0):
+    """``dfa`` plus a state n that nothing leads to; its arcs go to ``to``, or to itself if None."""
+    n = dfa.n_states
+    to = n if to is None else to
+    arcs = [(q, a, t) for q, a, ts in dfa.transitions for t in ts] + [(n, a, to) for a in dfa.alphabet]
+    return Automaton(dfa.alphabet, n + 1, dfa.initial, dfa.final | {n}, arcs)
+
+
+def _total_dfa_variants(dfa):
+    n = dfa.n_states
+    yield dfa
+    yield renumbered(dfa, list(range(n))[::-1])
+    yield renumbered(dfa, [(q + 1) % n for q in range(n)])
+    yield renumbered(dfa, [0] + list(range(n - 1, 0, -1)))  # the start keeps 0
+    yield _with_unreachable(dfa)
+    yield _with_unreachable(dfa, None)
+
+
+def _walk_order(dfa):
+    """The states in the order a breadth-first walk from the start visits them."""
+    return [q for q, _ in least_words(dfa.initial, dfa._arcs)]
+
+
+@given(minimal_dfas())
+@settings(max_examples=150, deadline=None)
+def test_determinize_equals_the_subset_construction_on_total_dfas(dfa):
+    for a in _total_dfa_variants(dfa):
+        det = determinize(a)
+        assert det == determinize_labeled(a)[0]
+        numbered = _walk_order(a) == list(range(a.n_states))
+        assert _numbered_breadth_first(a) == numbered
+        assert (det is a) == numbered
+
+
+def test_numbered_breadth_first_cases():
+    assert _numbered_breadth_first(ends_a())
+    assert not _numbered_breadth_first(_with_unreachable(ends_a()))
+    assert not _numbered_breadth_first(_with_unreachable(ends_a(), None))
+    assert not _numbered_breadth_first(renumbered(ends_a(), [1, 0]))
+    # No symbols: only state 0 is reached.
+    assert _numbered_breadth_first(Automaton((), 1, {0}, {0}, []))
+    assert not _numbered_breadth_first(Automaton((), 2, {0}, {0}, []))
+    with pytest.raises(ContractError, match="total deterministic"):
+        _numbered_breadth_first(nfa_ends_a())
+
+
+def test_determinize_returns_the_corpus_targets_as_they_are(corpus):
+    for target in corpus:
+        assert determinize(target) is target
+    for dfa in nth_end_dfas():
+        assert determinize(dfa) is dfa
+
+
+def test_determinize_rebuilds_what_it_does_not_return():
+    rebuilt = (_with_unreachable(ends_a()), renumbered(ends_a(), [1, 0]), renumbered(starts_a(), [0, 2, 1]))
+    for a in (*rebuilt, nfa_ends_a()):
+        det = determinize(a)
+        assert det is not a
+        assert det == determinize_labeled(a)[0]
 
 
 # ------------------------------------------------------------------- minimize

@@ -11,6 +11,7 @@ from helpers import (
     empty_lang,
     ends_a,
     even_a,
+    label_problem,
     learner_digest,
     minimal_dfas,
     nfa_ends_a,
@@ -499,9 +500,11 @@ def test_learners_canonical_on_wider_inputs(target):
     # that does not read residuals.
     oracle = c_of_b(reverse_automaton(trim(canon(reverse_automaton(target)))))
     assert isomorphic(lstar_col(TeacherSession(target)).hypothesis, target)
-    for learner in (nlstar, two_step_reversal, two_step_prime_contexts):
-        hypothesis = learner(TeacherSession(target)).hypothesis
-        assert isomorphic(hypothesis, oracle), learner.__name__
+    learners = {"nlstar": nlstar, "rev2step": two_step_reversal, "prime2step": two_step_prime_contexts}
+    for alg, learner in learners.items():
+        result = learner(TeacherSession(target))
+        assert isomorphic(result.hypothesis, oracle), alg
+        assert label_problem(alg, result, target) is None, alg
 
 
 def test_rev2step_at_scale_on_nth_start():

@@ -10,6 +10,7 @@ from helpers import (
     min_distinguishing_context_count,
     nfa_ends_a,
     nth_from_end_nfa,
+    renumbered,
     starts_a,
     third_from_end_a,
     universal_lang,
@@ -77,26 +78,14 @@ def test_residual_index_rejects_non_minimal():
         residual_index(duplicated)
 
 
-def _renumbered(dfa, perm):
-    """``dfa`` with state ``q`` renamed ``perm[q]``."""
-    arcs = [(perm[q], a, perm[t]) for q, a, ts in dfa.transitions for t in ts]
-    return Automaton(
-        dfa.alphabet,
-        dfa.n_states,
-        {perm[q] for q in dfa.initial},
-        {perm[q] for q in dfa.final},
-        arcs,
-    )
-
-
 def _variants(dfa):
     """``dfa`` and copies that are permuted, carry a duplicated or an unreachable
     state, or are partial."""
     n = dfa.n_states
     yield dfa
-    yield _renumbered(dfa, list(range(n))[::-1])
-    yield _renumbered(dfa, [(q + 1) % n for q in range(n)])
-    yield _renumbered(dfa, [0] + list(range(n - 1, 0, -1)))  # the start keeps 0
+    yield renumbered(dfa, list(range(n))[::-1])
+    yield renumbered(dfa, [(q + 1) % n for q in range(n)])
+    yield renumbered(dfa, [0] + list(range(n - 1, 0, -1)))  # the start keeps 0
     arcs = [(q, a, t) for q, a, ts in dfa.transitions for t in ts]
     # state n copies the arcs and the finality of the last state; the last
     # arc into that state is redirected to the copy
