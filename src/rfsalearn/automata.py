@@ -404,7 +404,9 @@ def minimize(dfa: Automaton) -> Automaton:
     States are numbered in breadth-first order from the start state over the
     sorted alphabet, so two inputs with the same language produce identical
     values.  An input that is not a total DFA is determinized first.  A total
-    DFA that already is its own canonical minimal DFA is returned as it is.
+    DFA that already is its own canonical minimal DFA, that is one whose
+    states are all distinct and which ``_numbered_breadth_first`` accepts, is
+    returned as it is: the class walk would number each state as itself.
     """
     if not (dfa.is_total and dfa.is_deterministic):
         dfa = determinize(dfa)
@@ -420,6 +422,8 @@ def minimize(dfa: Automaton) -> Automaton:
         if len(sig) == count:
             break
         cls, count = new, len(sig)
+    if count == n and _numbered_breadth_first(dfa):
+        return dfa
 
     # Only the classes reached from the start's class are numbered, in
     # breadth-first order; any member stands for its class.
@@ -429,8 +433,6 @@ def minimize(dfa: Automaton) -> Automaton:
         return [(a, cls[row[rep[c]]]) for a, row in zip(symbols, delta)]
 
     number = {c: i for i, (c, _) in enumerate(least_words((cls[q0],), class_arcs))}
-    if len(number) == n and all(number[c] == q for q, c in enumerate(cls)):
-        return dfa  # each state is its own class, numbered as it is: already canonical
     arcs = [(number[c], a, number[t]) for c in number for a, t in class_arcs(c)]
     out_final = frozenset(number[c] for c in number if rep[c] in dfa.final)
     return Automaton(symbols, len(number), frozenset({0}), out_final, tuple(arcs))

@@ -42,12 +42,25 @@ class ResidualIndex:
     residual of state ``j``.  ``residual_index`` also keeps, as int masks,
     ``_below[q]`` (the states whose residual lies strictly inside that of
     ``q``) and ``_primes`` (the prime states).  Under the cap on co-reachable
-    sets it reads both off the sets; past it, and for an index built by hand,
-    they come from the residual-order kernel ``_order``, built on first use.
+    sets it reads both off the sets, and keeps ``_up[p]``, the mask of the
+    ``q`` with L_p ⊆ L_q, in place of ``includes``: the tuple is built from
+    those masks when it is first read.  Past the cap, and for an index built
+    by hand, the masks come from the residual-order kernel ``_order``, built
+    on first use, and ``includes`` is the tuple given.
     """
 
     base: Automaton
     includes: tuple[tuple[bool, ...], ...]
+
+    def __getattr__(self, name):
+        # Only reached for an attribute the instance lacks: ``includes`` of an
+        # index read off the co-reachable sets, until its first read.
+        up = vars(self).get("_up")
+        if name != "includes" or up is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n = self.base.n_states
+        includes = vars(self)["includes"] = tuple([_row(u, n) for u in up])
+        return includes
 
     @functools.cached_property
     def _order(self) -> _ResidualOrder:
@@ -94,6 +107,8 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
     That holds iff ``l_dfa`` is a total DFA, a breadth-first walk from start
     state 0 over the sorted alphabet visits the states 0..n-1 in order, and no
     two states have the same residual, that is the same row of inclusions.
+    Under the cap on co-reachable sets the rows are kept as masks, which the
+    check compares, and the ``includes`` tuple is built on its first read.
     """
     error = ContractError("expected a minimal DFA in canonical numbering")
     try:
@@ -125,8 +140,9 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
         raise error
     below = [d ^ 1 << q for q, d in enumerate(down)]
     primes = sum(1 << q for q in range(n) if any(s >> q & 1 and not s & below[q] for s in sets))
-    index = ResidualIndex(l_dfa, tuple([_row(u, n) for u in up]))
-    vars(index).update(_below=below, _primes=primes)  # the cached masks, read off the sets
+    # No ``includes`` yet: ``ResidualIndex.__getattr__`` builds it from ``_up`` on first read.
+    index = object.__new__(ResidualIndex)
+    vars(index).update(base=l_dfa, _up=tuple(up), _below=below, _primes=primes)
     return index
 
 
@@ -188,19 +204,20 @@ def c_of_b(b: Automaton) -> Automaton:
     """Acceptor on the non-coverable reachable state sets of ``b``.
 
     Expects ``b`` to be the reversal of a trimmed deterministic machine, in
-    which case the result is the canonical RFSA of ``b``'s language.
+    which case the result is the canonical RFSA of ``b``'s language.  Each
+    member's step on a symbol is read off the arcs of the subset construction
+    that found the members, not off the dense view the learners share.
     """
-    family = reachable_state_sets(b)
-    members = [p for p in family.members if not is_coverable_state(p, family)]
+    dfa, labels = determinize_labeled(b)
+    members = [p for p in labels if not is_covered(p, labels)]
     number = {p: i for i, p in enumerate(members)}
     initial = frozenset(number[p] for p in members if p <= b.initial)
     final = frozenset(number[p] for p in members if p & b.final)
     arcs = []
-    for p in members:
-        for a in b.alphabet:
-            stepped = b.run(p, (a,))
+    for q, a, (t,) in dfa.transitions:  # one arc per label and symbol, in that order
+        if (i := number.get(labels[q])) is not None:
+            stepped = labels[t]
             for p2 in members:
                 if p2 <= stepped:
-                    arcs.append((number[p], a, number[p2]))
+                    arcs.append((i, a, number[p2]))
     return Automaton(b.alphabet, len(members), initial, final, tuple(arcs))
-

@@ -7,7 +7,8 @@ scan-everything normaliser that ``Automaton``'s constructor is checked
 against, the reversed-automaton equivalence query, bit-loop transpose and
 bit-loop mask step that the teacher's backward walk, ``tables._transpose``
 and ``automata.mask_union`` are checked against, the pair-set totality test
-that ``Automaton.is_total`` is checked against, the brute-force extension
+that ``Automaton.is_total`` is checked against, the member-by-member
+subset oracle that ``c_of_b`` is checked against, the brute-force extension
 scan that both table consistency checks are checked against, the names only
 tests use (two row predicates over ``ObservationTable.row`` and a
 brute-force distinguishing-context count), and the query log and digests
@@ -35,7 +36,13 @@ from rfsalearn.automata import (
     word,
 )
 from rfsalearn.cli import generate_corpus
-from rfsalearn.residuals import canonical_rfsa, is_prime, reachable_state_sets, residual_index
+from rfsalearn.residuals import (
+    canonical_rfsa,
+    is_coverable_state,
+    is_prime,
+    reachable_state_sets,
+    residual_index,
+)
 from rfsalearn.tables import (
     ModifiedTable,
     ObservationTable,
@@ -598,6 +605,23 @@ def min_distinguishing_context_count(l_dfa, budget=4):
     raise RuntimeError("realizable columns failed to separate a minimal DFA")
 
 
+def reference_c_of_b(b):
+    """``c_of_b`` by its definition: each member stepped with ``Automaton.run``."""
+    family = reachable_state_sets(b)
+    members = [p for p in family.members if not is_coverable_state(p, family)]
+    number = {p: i for i, p in enumerate(members)}
+    arcs = [
+        (number[p], a, number[p2])
+        for p in members
+        for a in b.alphabet
+        for p2 in members
+        if p2 <= b.run(p, (a,))
+    ]
+    initial = {number[p] for p in members if p <= b.initial}
+    final = {number[p] for p in members if p & b.final}
+    return Automaton(b.alphabet, len(members), initial, final, arcs)
+
+
 # ------------------------------------------------------------ residual labels
 
 
@@ -608,12 +632,15 @@ def renumbered(a, perm):
 
 
 def residual_labels(alg, result):
-    """The word naming the residual of each state of an RFSA learner's hypothesis, in state order.
+    """The word naming the residual of each state of a learner's hypothesis, in state order.
 
-    A state of ``nlstar`` or ``prime2step`` is a row s of the final table's
-    ``ncov_red()`` and stands for s⁻¹L; a state of ``rev2step`` is a column e
-    of the reduced table and stands for rev(e)⁻¹L.
+    A state of ``lstar`` is the red word ``derive_dfa_with_reps`` reads it
+    off, s, and stands for s⁻¹L.  A state of ``nlstar`` or ``prime2step`` is
+    a row s of the final table's ``ncov_red()`` and stands for s⁻¹L; a state
+    of ``rev2step`` is a column e of the reduced table and stands for rev(e)⁻¹L.
     """
+    if alg == "lstar":
+        return list(derive_dfa_with_reps(result.final_table)[1])
     if not result.hypothesis.n_states:  # the empty language: nothing to name
         return []
     if alg == "rev2step":
@@ -622,25 +649,31 @@ def residual_labels(alg, result):
 
 
 def label_problem(alg, result, target):
-    """None when the hypothesis, renumbered by its labels, equals ``canonical_rfsa(minimize(target))``.
+    """None when the hypothesis, renumbered by its labels, equals what the learner should derive.
 
-    Each label is run in ``minimize(target)``; the state it reaches must be
-    prime, and the canonical RFSA numbers the primes in state order.
-    Otherwise the first state at fault, its word and the residual it names.
+    That is ``minimize(target)`` for ``lstar`` and ``canonical_rfsa(minimize(target))``
+    for the RFSA learners.  Each label is run in ``minimize(target)``; for an
+    RFSA learner the state it reaches must be prime, and the canonical RFSA
+    numbers the primes in state order.  Otherwise the first state at fault,
+    its word and the residual it names.
     """
     base = minimize(target)
-    index = residual_index(base)
-    primes = [q for q in range(base.n_states) if is_prime(index, q)]
-    number = {q: i for i, q in enumerate(primes)}
+    if alg == "lstar":  # every residual is a state
+        states, canonical = list(range(base.n_states)), base
+    else:
+        index = residual_index(base)
+        states = [q for q in range(base.n_states) if is_prime(index, q)]
+        canonical = canonical_rfsa(base)
+    number = {q: i for i, q in enumerate(states)}
     words = residual_labels(alg, result)
     named = [min(base.run(base.initial, w)) for w in words]  # the one state each word reaches
     for i, (w, q) in enumerate(zip(words, named)):
         if q not in number:
             return f"state {i}, word {''.join(w)!r}: residual of state {q}, which is not prime"
     perm = [number[q] for q in named]
-    if sorted(perm) != list(range(len(primes))):
-        return f"labels name the residuals of states {named}, not the primes {primes}"
-    renamed, canonical = renumbered(result.hypothesis, perm), canonical_rfsa(base)
+    if sorted(perm) != list(range(len(states))):
+        return f"labels name the residuals of states {named}, not those of states {states}"
+    renamed = renumbered(result.hypothesis, perm)
     if renamed == canonical:
         return None
 

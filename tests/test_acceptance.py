@@ -38,6 +38,12 @@ def test_c01_correctness_sweep(corpus_runs):
         for alg in LEARNERS
         if not run.correct[alg]
     ]
+    # Renumbered by the residual each representative names, lstar's hypothesis is the minimal DFA itself.
+    failures += [
+        (run.language_id, "lstar", problem)
+        for run in runs
+        if (problem := label_problem("lstar", run.results["lstar"], run.target))
+    ]
     report(1, "correctness sweep", failures, f"{len(runs)} languages x 4 learners in {elapsed:.1f}s")
 
 

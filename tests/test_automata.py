@@ -202,6 +202,17 @@ def _walk_order(dfa):
     return [q for q, _ in least_words(dfa.initial, dfa._arcs)]
 
 
+def _depth_first_order(dfa):
+    """The states in the order a depth-first walk from the start visits them."""
+    order, stack = [], list(dfa.initial)
+    while stack:
+        q = stack.pop()
+        if q not in order:
+            order.append(q)
+            stack.extend(r for _, r in reversed(dfa._arcs(q)))
+    return order
+
+
 @given(minimal_dfas())
 @settings(max_examples=150, deadline=None)
 def test_determinize_equals_the_subset_construction_on_total_dfas(dfa):
@@ -226,10 +237,11 @@ def test_numbered_breadth_first_cases():
 
 
 def test_determinize_returns_the_corpus_targets_as_they_are(corpus):
-    for target in corpus:
+    # Every bench target is its own canonical minimal DFA, so minimize returns it too.
+    nth_start = [minimize(determinize(reverse_automaton(nth_from_end_nfa(n)))) for n in range(6, 10)]
+    for target in (*corpus, *nth_end_dfas(), *nth_start):
         assert determinize(target) is target
-    for dfa in nth_end_dfas():
-        assert determinize(dfa) is dfa
+        assert minimize(target) is target
 
 
 def test_determinize_rebuilds_what_it_does_not_return():
@@ -266,9 +278,16 @@ def test_minimize_renumbers_a_permuted_minimal_dfa():
         {flip - q for q in m.final},
         [(flip - q, a, flip - r) for q, a, ts in m.transitions for r in ts],
     )
-    out = minimize(permuted)
-    assert out is not permuted and permuted != m
-    assert out == m
+    # Numbered depth-first, the start keeps 0 and every state stays reachable
+    # and distinct: only the numbering walk tells it from the canonical one.
+    order = _depth_first_order(m)
+    depth_first = renumbered(m, [order.index(q) for q in range(n)])
+    assert depth_first.initial == {0}
+    for a in (permuted, depth_first):
+        assert not _numbered_breadth_first(a)
+        out = minimize(a)
+        assert out is not a and a != m
+        assert out == m
 
 
 @st.composite

@@ -21,8 +21,10 @@ from rfsalearn.automata import (
     reverse_automaton,
     trim,
 )
-from rfsalearn.cli import generate_corpus
+from rfsalearn import residuals
+from rfsalearn.cli import _language_columns, generate_corpus
 from rfsalearn.residuals import (
+    ResidualIndex,
     _coreachable_sets,
     c_of_b,
     canonical_rfsa,
@@ -71,8 +73,12 @@ def under_cap(dfa) -> bool:
 def assert_matches_references(dfa):
     n = dfa.n_states
     index = residual_index(dfa)
+    # Under the cap the tuple is built on its first read and kept; past it the kernel's is kept.
+    assert ("includes" in vars(index)) == ("_order" in vars(index))
     includes = reference_includes(dfa)
     assert index.includes == includes
+    assert vars(index)["includes"] is index.includes
+    assert index == ResidualIndex(dfa, includes)
     assert [is_prime(index, q) for q in range(n)] == [
         reference_excess_witness(dfa, includes, q) is not None for q in range(n)
     ]
@@ -94,6 +100,21 @@ def assert_matches_subset_oracle(dfa):
 
 
 # ------------------------------------------------------------ which side
+
+
+def test_the_oracle_builds_no_includes_under_the_cap(monkeypatch):
+    # ``canonical_rfsa`` and the bench's index columns read only the masks.
+    def no_row(mask, n):
+        raise AssertionError("the includes tuple was built")
+
+    monkeypatch.setattr(residuals, "_row", no_row)
+    for dfa in NTH_END + NTH_END_ABC:
+        canonical_rfsa(dfa)
+        _language_columns(dfa)
+    index = residual_index(NTH_END[0])
+    with pytest.raises(AttributeError, match="no attribute 'rows'"):
+        index.rows
+    assert "includes" not in vars(index)
 
 
 def test_nth_from_end_is_under_the_cap():

@@ -499,7 +499,9 @@ def test_learners_canonical_on_wider_inputs(target):
     # Alphabets of 1-3 letters and up to 12 states, against the subset oracle
     # that does not read residuals.
     oracle = c_of_b(reverse_automaton(trim(canon(reverse_automaton(target)))))
-    assert isomorphic(lstar_col(TeacherSession(target)).hypothesis, target)
+    result = lstar_col(TeacherSession(target))
+    assert isomorphic(result.hypothesis, target)
+    assert label_problem("lstar", result, target) is None
     learners = {"nlstar": nlstar, "rev2step": two_step_reversal, "prime2step": two_step_prime_contexts}
     for alg, learner in learners.items():
         result = learner(TeacherSession(target))

@@ -96,7 +96,11 @@ def test_kernel_rejects_partial_input():
     partial = Automaton(AB, 2, {0}, {1}, [(0, "a", 1), (0, "b", 0), (1, "a", 1)])
     with pytest.raises(ContractError, match="state 1 has 0 successors on 'b'"):
         _ResidualOrder(partial)
-    index = ResidualIndex(partial, ((True, True), (False, True)))
+    rows = ((True, True), (False, True))
+    index = ResidualIndex(partial, rows)
+    assert index.includes is rows  # an index built by hand keeps the tuple it was given
+    with pytest.raises(AttributeError):
+        index._up
     with pytest.raises(ContractError, match="total deterministic"):
         is_prime(index, 1)
 

@@ -10,6 +10,7 @@ from helpers import (
     min_distinguishing_context_count,
     nfa_ends_a,
     nth_from_end_nfa,
+    reference_c_of_b,
     renumbered,
     starts_a,
     third_from_end_a,
@@ -305,6 +306,16 @@ def test_c_of_b_agrees_with_canonical_construction():
         reversed_min = canon(reverse_automaton(base))
         b = reverse_automaton(trim(reversed_min))
         assert isomorphic(c_of_b(b), canonical_rfsa(base))
+
+
+def test_c_of_b_equals_reference(corpus):
+    nth = [canon(nth_from_end_nfa(n)) for n in range(3, 7)]
+    nth += [canon(reverse_automaton(nth_from_end_nfa(n))) for n in range(6, 9)]
+    for base in (*corpus, *nth, canon(nfa_ends_a())):
+        b = reverse_automaton(trim(canon(reverse_automaton(base))))
+        assert c_of_b(b) == reference_c_of_b(b)
+    # Not the reversal of a DFA: the definition still holds.
+    assert c_of_b(nfa_ends_a()) == reference_c_of_b(nfa_ends_a())
 
 
 def test_c_of_b_even_a_two_states():
