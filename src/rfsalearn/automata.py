@@ -525,8 +525,8 @@ class _ResidualOrder:
     ``dist[p][q]`` is the length of the shortest word in L_p \\ L_q, or -1 when
     L_p ⊆ L_q.  It comes from one backward breadth-first search over the pair
     graph seeded at the (final, non-final) pairs, so all pairs together cost
-    O(n²·|Σ|).  It is computed on first use only, as are the inclusion matrix
-    ``includes`` and the excess search's start masks ``below``, read off it.
+    O(n²·|Σ|).  It is computed on first use only, as are the strictly-below
+    masks ``below``, read off it, which start the excess search.
     """
 
     def __init__(self, dfa: Automaton):
@@ -566,18 +566,14 @@ class _ResidualOrder:
         return dist
 
     @functools.cached_property
-    def includes(self) -> tuple[tuple[bool, ...], ...]:
-        """``includes[p][q]`` says L_p ⊆ L_q."""
-        return tuple([tuple([d < 0 for d in row]) for row in self.dist])
-
-    @functools.cached_property
     def below(self) -> list[int]:
         """``below[q]``: the mask of the states p != q with L_p ⊆ L_q."""
         out = [0] * self.n
-        for p, row in enumerate(self.includes):
-            for q, inc in enumerate(row):
-                if inc and p != q:
-                    out[q] |= 1 << p
+        for p, row in enumerate(self.dist):
+            bit = 1 << p
+            for q, d in enumerate(row):
+                if d < 0 and p != q:
+                    out[q] |= bit
         return out
 
     def _walk(self, p: int, q: int) -> Word:

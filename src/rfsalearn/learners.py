@@ -101,7 +101,7 @@ def _residual_order_contexts(auto: Automaton) -> list[Word]:
     is what reading an RFSA off the finished table requires.
     """
     order = _ResidualOrder(auto)
-    contexts = [order._walk(p, q) for p, row in enumerate(order.includes) for q, inc in enumerate(row) if not inc]
+    contexts = [order._walk(p, q) for p, row in enumerate(order.dist) for q, d in enumerate(row) if d >= 0]
     for q in range(auto.n_states):
         witness = order.excess_witness(q)
         if witness is not None:

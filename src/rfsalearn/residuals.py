@@ -1,16 +1,18 @@
 """Residual languages of a regular language and the canonical RFSA built from them.
 
 Everything here works on exact language comparisons, never on bounded word
-enumeration.  ``residual_index`` reads residual inclusion and primality off
-the co-reachable sets of the minimal DFA, S_w = {q : δ(q, w) ∈ F}, which are
-the reachable subsets of its reversal: w is in L_q iff q is in S_w, so L_p ⊆
-L_q iff every set that holds p also holds q, and q is prime iff some set
-holds q and none of the states strictly below it.  The search for the sets
-stops once it has found more of them than the DFA has states; past that cap
-the index falls back to the residual-order kernel ``_ResidualOrder`` of
-``automata``, one backward search over the state pairs for every inclusion
-and one search over a state paired with the set of states below it per
-primality test.  So the oracle shares no code with ``prime2step`` on a
+enumeration.  The residual order is kept in one format, the strictly-below
+masks: ``below[q]`` holds the states whose residual lies strictly inside
+that of ``q``.  ``residual_index`` reads them and primality off the
+co-reachable sets of the minimal DFA, S_w = {q : δ(q, w) ∈ F}, which are the
+reachable subsets of its reversal: w is in L_q iff q is in S_w, so L_p ⊆ L_q
+iff every set that holds p also holds q, and q is prime iff some set holds q
+and none of the states strictly below it.  The search for the sets stops
+once it has found more of them than the DFA has states; past that cap the
+masks come from the residual-order kernel ``_ResidualOrder`` of
+``automata``, one backward search over the state pairs for all inclusions,
+and primality from one search over a state paired with the set of states
+below it per state.  So the oracle shares no code with ``prime2step`` on a
 language under the cap and shares that kernel with it past the cap;
 ``c_of_b`` (subset construction on the reversal, over frozensets) and the
 canonical RFSA's final language check stay independent of it on both sides.
@@ -36,44 +38,22 @@ from .automata import (
 
 @dataclass(frozen=True)
 class ResidualIndex:
-    """Residuals of a language, one per state of its minimal DFA.
+    """Residuals of a language, one per state of its minimal DFA, as a plain value.
 
+    ``_below[q]`` is the mask of the states whose residual lies strictly
+    inside that of ``q``, and ``_primes`` the mask of the prime states.
     ``includes[i][j]`` says the residual of state ``i`` is a subset of the
-    residual of state ``j``.  ``residual_index`` also keeps, as int masks,
-    ``_below[q]`` (the states whose residual lies strictly inside that of
-    ``q``) and ``_primes`` (the prime states).  Under the cap on co-reachable
-    sets it reads both off the sets, and keeps ``_up[p]``, the mask of the
-    ``q`` with L_p ⊆ L_q, in place of ``includes``: the tuple is built from
-    those masks when it is first read.  Past the cap, and for an index built
-    by hand, the masks come from the residual-order kernel ``_order``, built
-    on first use, and ``includes`` is the tuple given.
+    residual of state ``j``; it is read off ``_below`` on its first read.
     """
 
     base: Automaton
-    includes: tuple[tuple[bool, ...], ...]
-
-    def __getattr__(self, name):
-        # Only reached for an attribute the instance lacks: ``includes`` of an
-        # index read off the co-reachable sets, until its first read.
-        up = vars(self).get("_up")
-        if name != "includes" or up is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        n = self.base.n_states
-        includes = vars(self)["includes"] = tuple([_row(u, n) for u in up])
-        return includes
+    _below: tuple[int, ...]
+    _primes: int
 
     @functools.cached_property
-    def _order(self) -> _ResidualOrder:
-        return _ResidualOrder(self.base)
-
-    @functools.cached_property
-    def _below(self) -> list[int]:
-        return self._order.below
-
-    @functools.cached_property
-    def _primes(self) -> int:
-        order = self._order
-        return sum(1 << q for q in range(self.base.n_states) if order.excess_witness(q) is not None)
+    def includes(self) -> tuple[tuple[bool, ...], ...]:
+        states, below = range(self.base.n_states), self._below
+        return tuple([tuple([p == q or bool(below[q] >> p & 1) for q in states]) for p in states])
 
 
 def _coreachable_sets(dfa: Automaton) -> list[int] | None:
@@ -96,19 +76,14 @@ def _coreachable_sets(dfa: Automaton) -> list[int] | None:
     return sets
 
 
-def _row(mask: int, n: int) -> tuple[bool, ...]:
-    """The first ``n`` bits of ``mask`` as bools, lowest first."""
-    return tuple([c == "1" for c in reversed(format(mask, f"0{n}b"))])
-
-
 def residual_index(l_dfa: Automaton) -> ResidualIndex:
-    """Residual inclusion matrix of ``l_dfa``, which must equal ``minimize(l_dfa)``.
+    """The residual order and the primes of ``l_dfa``, which must equal ``minimize(l_dfa)``.
 
     That holds iff ``l_dfa`` is a total DFA, a breadth-first walk from start
     state 0 over the sorted alphabet visits the states 0..n-1 in order, and no
-    two states have the same residual, that is the same row of inclusions.
-    Under the cap on co-reachable sets the rows are kept as masks, which the
-    check compares, and the ``includes`` tuple is built on its first read.
+    two states have the same residual, that is the same states at or below
+    them.  Under the cap on co-reachable sets the strictly-below masks and the
+    primes are read off the sets, past it off ``_ResidualOrder``.
     """
     error = ContractError("expected a minimal DFA in canonical numbering")
     try:
@@ -121,29 +96,20 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
     sets = _coreachable_sets(l_dfa)
     if sets is None:
         order = _ResidualOrder(l_dfa)
-        if len(set(order.includes)) != n:
-            raise error
-        index = ResidualIndex(l_dfa, order.includes)
-        vars(index)["_order"] = order  # the cached ``_order``; an index built by hand builds its own
-        return index
-    # up[p]: the AND of the sets that hold p, so bit q says L_p ⊆ L_q; down[q]:
-    # the states in no set without q, so the p with L_p ⊆ L_q, q among them.
-    full = (1 << n) - 1
-    up, down = [full] * n, [full] * n
-    for s in sets:
-        for q in range(n):
-            if s >> q & 1:
-                up[q] &= s
-            else:
-                down[q] &= ~s
-    if len(set(up)) != n:
+        below = order.below
+        primes = sum(1 << q for q in range(n) if order.excess_witness(q) is not None)
+    else:
+        # down[q]: the states in no set without q, so the p with L_p ⊆ L_q, q among them.
+        down = [(1 << n) - 1] * n
+        for s in sets:
+            for q in range(n):
+                if not s >> q & 1:
+                    down[q] &= ~s
+        below = [d ^ 1 << q for q, d in enumerate(down)]
+        primes = sum(1 << q for q in range(n) if any(s >> q & 1 and not s & below[q] for s in sets))
+    if len({b | 1 << q for q, b in enumerate(below)}) != n:
         raise error
-    below = [d ^ 1 << q for q, d in enumerate(down)]
-    primes = sum(1 << q for q in range(n) if any(s >> q & 1 and not s & below[q] for s in sets))
-    # No ``includes`` yet: ``ResidualIndex.__getattr__`` builds it from ``_up`` on first read.
-    index = object.__new__(ResidualIndex)
-    vars(index).update(base=l_dfa, _up=tuple(up), _below=below, _primes=primes)
-    return index
+    return ResidualIndex(l_dfa, tuple(below), primes)
 
 
 def is_prime(index: ResidualIndex, q: int) -> bool:

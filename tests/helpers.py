@@ -194,7 +194,7 @@ def reference_includes(dfa):
 
 def residual_witness(order, p, q):
     """Least word in L_p \\ L_q by the walk of the ``_ResidualOrder`` ``order``, if any."""
-    return None if order.includes[p][q] else order._walk(p, q)
+    return None if order.dist[p][q] < 0 else order._walk(p, q)
 
 
 def reference_separating_word(dfa, p, q):

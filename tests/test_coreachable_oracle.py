@@ -21,7 +21,7 @@ from rfsalearn.automata import (
     reverse_automaton,
     trim,
 )
-from rfsalearn import residuals
+from rfsalearn import cli, residuals
 from rfsalearn.cli import _language_columns, generate_corpus
 from rfsalearn.residuals import (
     ResidualIndex,
@@ -64,21 +64,17 @@ def wide():
 
 def under_cap(dfa) -> bool:
     """True iff ``residual_index`` reads ``dfa``'s index off its co-reachable sets."""
-    under = _coreachable_sets(dfa) is not None
-    # Past the cap the index keeps the kernel it was built from.
-    assert ("_order" in vars(residual_index(dfa))) == (not under)
-    return under
+    return _coreachable_sets(dfa) is not None
 
 
 def assert_matches_references(dfa):
     n = dfa.n_states
     index = residual_index(dfa)
-    # Under the cap the tuple is built on its first read and kept; past it the kernel's is kept.
-    assert ("includes" in vars(index)) == ("_order" in vars(index))
+    # The tuple is built on its first read and kept.
+    assert "includes" not in vars(index)
     includes = reference_includes(dfa)
     assert index.includes == includes
     assert vars(index)["includes"] is index.includes
-    assert index == ResidualIndex(dfa, includes)
     assert [is_prime(index, q) for q in range(n)] == [
         reference_excess_witness(dfa, includes, q) is not None for q in range(n)
     ]
@@ -87,11 +83,9 @@ def assert_matches_references(dfa):
 def assert_sides_agree(dfa):
     """The index equals the one the residual-order kernel gives, masks included."""
     n = dfa.n_states
-    index = residual_index(dfa)
     order = _ResidualOrder(dfa)
-    assert index.includes == order.includes
-    assert index._below == order.below
-    assert index._primes == sum(1 << q for q in range(n) if order.excess_witness(q) is not None)
+    primes = sum(1 << q for q in range(n) if order.excess_witness(q) is not None)
+    assert residual_index(dfa) == ResidualIndex(dfa, tuple(order.below), primes)
 
 
 def assert_matches_subset_oracle(dfa):
@@ -102,19 +96,31 @@ def assert_matches_subset_oracle(dfa):
 # ------------------------------------------------------------ which side
 
 
-def test_the_oracle_builds_no_includes_under_the_cap(monkeypatch):
-    # ``canonical_rfsa`` and the bench's index columns read only the masks.
-    def no_row(mask, n):
-        raise AssertionError("the includes tuple was built")
+def assert_oracle_builds_no_includes(monkeypatch, dfas):
+    """``canonical_rfsa`` and the bench's index columns read only the masks."""
+    built = []
 
-    monkeypatch.setattr(residuals, "_row", no_row)
-    for dfa in NTH_END + NTH_END_ABC:
+    def recorded(dfa):
+        built.append(index := residual_index(dfa))
+        return index
+
+    monkeypatch.setattr(residuals, "residual_index", recorded)
+    monkeypatch.setattr(cli, "residual_index", recorded)
+    for dfa in dfas:
         canonical_rfsa(dfa)
         _language_columns(dfa)
-    index = residual_index(NTH_END[0])
-    with pytest.raises(AttributeError, match="no attribute 'rows'"):
-        index.rows
-    assert "includes" not in vars(index)
+    assert [index.base for index in built] == [dfa for dfa in dfas for _ in range(2)]
+    for index in built:
+        assert "includes" not in vars(index)
+        assert index.includes == reference_includes(index.base)
+
+
+def test_the_oracle_builds_no_includes_under_the_cap(monkeypatch):
+    assert_oracle_builds_no_includes(monkeypatch, NTH_END[:4] + NTH_END_ABC[:2])
+
+
+def test_the_oracle_builds_no_includes_past_the_cap(monkeypatch, corpus):
+    assert_oracle_builds_no_includes(monkeypatch, NTH_START + [dfa for dfa in corpus[:20] if not under_cap(dfa)])
 
 
 def test_nth_from_end_is_under_the_cap():

@@ -1,5 +1,6 @@
 """The package's public surface, pinned so that growing it is a visible change,
 and the names the benchmark's tracer wraps."""
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -81,6 +82,12 @@ TABLE_PUBLIC = {
 }
 
 
+# ``ResidualIndex``'s public attributes and its fields: the residual order is
+# kept in one format, the strictly-below masks, and ``includes`` is read off them.
+RESIDUAL_INDEX_PUBLIC = {"base", "includes"}
+RESIDUAL_INDEX_FIELDS = ("base", "_below", "_primes")
+
+
 def test_public_surface_is_pinned():
     assert len(rfsalearn.__all__) == len(set(rfsalearn.__all__))
     assert set(rfsalearn.__all__) == PUBLIC
@@ -90,6 +97,12 @@ def test_public_surface_is_pinned():
 
 def test_observation_table_surface_is_pinned():
     assert {name for name in dir(rfsalearn.ObservationTable) if not name.startswith("_")} == TABLE_PUBLIC
+
+
+def test_residual_index_surface_is_pinned():
+    index = rfsalearn.residual_index(generate_corpus(1, 8, 2, 42)[0])
+    assert {name for name in dir(index) if not name.startswith("_")} == RESIDUAL_INDEX_PUBLIC
+    assert tuple(field.name for field in dataclasses.fields(index)) == RESIDUAL_INDEX_FIELDS
 
 
 @pytest.fixture

@@ -27,7 +27,6 @@ from rfsalearn.automata import (
 from rfsalearn.cli import generate_corpus
 from rfsalearn.learners import _residual_order_contexts, two_step_prime_contexts
 from rfsalearn.residuals import (
-    ResidualIndex,
     c_of_b,
     canonical_rfsa,
     is_prime,
@@ -86,7 +85,7 @@ def test_walk_rejects_an_included_pair():
     order = _ResidualOrder(dfa)
     with pytest.raises(ContractError, match="L_0 ⊆ L_0"):
         order._walk(0, 0)
-    included = [(p, q) for p, row in enumerate(order.includes) for q, inc in enumerate(row) if inc]
+    included = [(p, q) for p, row in enumerate(order.dist) for q, d in enumerate(row) if d < 0]
     for p, q in included:
         with pytest.raises(ContractError):
             order._walk(p, q)
@@ -96,13 +95,6 @@ def test_kernel_rejects_partial_input():
     partial = Automaton(AB, 2, {0}, {1}, [(0, "a", 1), (0, "b", 0), (1, "a", 1)])
     with pytest.raises(ContractError, match="state 1 has 0 successors on 'b'"):
         _ResidualOrder(partial)
-    rows = ((True, True), (False, True))
-    index = ResidualIndex(partial, rows)
-    assert index.includes is rows  # an index built by hand keeps the tuple it was given
-    with pytest.raises(AttributeError):
-        index._up
-    with pytest.raises(ContractError, match="total deterministic"):
-        is_prime(index, 1)
 
 
 # Scale guards: deterministic, no timing.  The 8th-from-end language has a
