@@ -97,7 +97,6 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
     if sets is None:
         order = _ResidualOrder(l_dfa)
         below = order.below
-        primes = sum(1 << q for q in range(n) if order.excess_witness(q) is not None)
     else:
         # down[q]: the states in no set without q, so the p with L_p ⊆ L_q, q among them.
         down = [(1 << n) - 1] * n
@@ -106,9 +105,12 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
                 if not s >> q & 1:
                     down[q] &= ~s
         below = [d ^ 1 << q for q, d in enumerate(down)]
-        primes = sum(1 << q for q in range(n) if any(s >> q & 1 and not s & below[q] for s in sets))
     if len({b | 1 << q for q, b in enumerate(below)}) != n:
         raise error
+    if sets is None:
+        primes = sum(1 << q for q in range(n) if order.excess_witness(q) is not None)
+    else:
+        primes = sum(1 << q for q in range(n) if any(s >> q & 1 and not s & below[q] for s in sets))
     return ResidualIndex(l_dfa, tuple(below), primes)
 
 
