@@ -13,6 +13,7 @@ in normal form, use the unchecked builder ``Automaton._from_normal``.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
@@ -229,9 +230,25 @@ class Automaton:
                 row[r] |= bit
         return pre
 
-    @property
+    @functools.cached_property
     def is_deterministic(self) -> bool:
         return len(self.initial) == 1 and all(len(ts) <= 1 for _, _, ts in self.transitions)
+
+    @functools.cached_property
+    def _numbered(self) -> bool:
+        """The breadth-first numbering walk behind :func:`_numbered_breadth_first`."""
+        if self.initial != {0}:
+            return False
+        reached = 1  # the walk has numbered the states 0..reached-1 so far
+        for q, targets in enumerate(zip(*self._delta)):
+            if q == reached:  # no state before q leads to it
+                return False
+            for t in targets:
+                if t == reached:
+                    reached += 1
+                elif t > reached:  # the walk would number t as reached
+                    return False
+        return reached == self.n_states  # not so without symbols and with more than one state
 
     @property
     def is_total(self) -> bool:
@@ -347,19 +364,10 @@ def _numbered_breadth_first(dfa: Automaton) -> bool:
     """True iff ``dfa`` starts at 0 alone and a breadth-first walk from there visits 0..n-1 in order.
 
     The walk takes the symbols in alphabet order; ``dfa`` must be a total DFA.
+    It runs once per automaton and its result is kept on it, like ``_delta``;
+    an input that is not a total DFA raises ``ContractError`` on every call.
     """
-    if dfa.initial != {0}:
-        return False
-    reached = 1  # the walk has numbered the states 0..reached-1 so far
-    for q, targets in enumerate(zip(*dfa._delta)):
-        if q == reached:  # no state before q leads to it
-            return False
-        for t in targets:
-            if t == reached:
-                reached += 1
-            elif t > reached:  # the walk would number t as reached
-                return False
-    return reached == dfa.n_states  # not so without symbols and with more than one state
+    return dfa._numbered
 
 
 def determinize(a: Automaton) -> Automaton:
@@ -407,6 +415,8 @@ def minimize(dfa: Automaton) -> Automaton:
     DFA that already is its own canonical minimal DFA, that is one whose
     states are all distinct and which ``_numbered_breadth_first`` accepts, is
     returned as it is: the class walk would number each state as itself.
+    Moore refinement gathers the classes of every state's successor on a
+    symbol in one call of an ``operator.itemgetter`` built before the loop.
     """
     if not (dfa.is_total and dfa.is_deterministic):
         dfa = determinize(dfa)
@@ -415,9 +425,13 @@ def minimize(dfa: Automaton) -> Automaton:
 
     cls = [1 if q in dfa.final else 0 for q in range(n)]
     count = len(set(cls))
-    while True:
+    # gathers[i](cls): the classes of the states' successors on the i-th
+    # symbol, gathered in C.  With one state there is nothing to split, and a
+    # one-index getter returns a scalar, so the loop does not run.
+    gathers = [operator.itemgetter(*row) for row in delta]
+    while n >= 2:
         sig: dict[tuple[int, ...], int] = {}
-        stepped = [[cls[t] for t in row] for row in delta]
+        stepped = [gather(cls) for gather in gathers]
         new = [sig.setdefault(key, len(sig)) for key in zip(cls, *stepped)]
         if len(sig) == count:
             break

@@ -8,11 +8,14 @@ co-reachable sets of the minimal DFA, S_w = {q : δ(q, w) ∈ F}, which are the
 reachable subsets of its reversal: w is in L_q iff q is in S_w, so L_p ⊆ L_q
 iff every set that holds p also holds q, and q is prime iff some set holds q
 and none of the states strictly below it.  The search for the sets stops
-once it has found more of them than the DFA has states; past that cap the
-masks come from the residual-order kernel ``_ResidualOrder`` of
-``automata``, one backward search over the state pairs for all inclusions,
-and primality from one search over a state paired with the set of states
-below it per state.  So the oracle shares no code with ``prime2step`` on a
+once it has found as many of them as the DFA has states and finds one more;
+past that cap the masks come from the residual-order kernel
+``_ResidualOrder`` of ``automata``, one backward search over the state pairs
+for all inclusions.  Primality comes from the sets found first, on both sides
+of the cap: a found set that holds q and none of the states below it proves
+q prime.  Past the cap a state no found set proves prime may still be, so
+for those states alone one search over a state paired with the set of states
+below it decides.  So the oracle shares no code with ``prime2step`` on a
 language under the cap and shares that kernel with it past the cap;
 ``c_of_b`` (subset construction on the reversal, over frozensets) and the
 canonical RFSA's final language check stay independent of it on both sides.
@@ -56,11 +59,12 @@ class ResidualIndex:
         return tuple([tuple([p == q or bool(below[q] >> p & 1) for q in states]) for p in states])
 
 
-def _coreachable_sets(dfa: Automaton) -> list[int] | None:
-    """The distinct co-reachable sets of a total DFA as masks, or None once they outnumber its states.
+def _coreachable_sets(dfa: Automaton) -> tuple[list[int], bool]:
+    """The distinct co-reachable sets of a total DFA as masks, and whether they are all of them.
 
     They are the subsets reachable from the final set by predecessor steps,
-    in breadth-first order.
+    in breadth-first order.  The search stops once they would outnumber the
+    states, and then returns the n sets it found with ``False``.
     """
     n, pre = dfa.n_states, dfa._pred_masks
     final = sum(1 << q for q in dfa.final)
@@ -70,10 +74,10 @@ def _coreachable_sets(dfa: Automaton) -> list[int] | None:
             t = mask_union(by_state, s)
             if t not in seen:
                 if len(sets) == n:
-                    return None
+                    return sets, False
                 seen.add(t)
                 sets.append(t)
-    return sets
+    return sets, True
 
 
 def residual_index(l_dfa: Automaton) -> ResidualIndex:
@@ -82,8 +86,10 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
     That holds iff ``l_dfa`` is a total DFA, a breadth-first walk from start
     state 0 over the sorted alphabet visits the states 0..n-1 in order, and no
     two states have the same residual, that is the same states at or below
-    them.  Under the cap on co-reachable sets the strictly-below masks and the
-    primes are read off the sets, past it off ``_ResidualOrder``.
+    them.  When the co-reachable sets are all found, the strictly-below masks
+    are read off them, otherwise off ``_ResidualOrder``.  A state is prime
+    once a found set holds it and none of the states below it; past the cap
+    the excess search runs only for the states no found set proves prime.
     """
     error = ContractError("expected a minimal DFA in canonical numbering")
     try:
@@ -93,11 +99,8 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
     if not numbered:
         raise error
     n = l_dfa.n_states
-    sets = _coreachable_sets(l_dfa)
-    if sets is None:
-        order = _ResidualOrder(l_dfa)
-        below = order.below
-    else:
+    sets, complete = _coreachable_sets(l_dfa)
+    if complete:
         # down[q]: the states in no set without q, so the p with L_p ⊆ L_q, q among them.
         down = [(1 << n) - 1] * n
         for s in sets:
@@ -105,12 +108,25 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
                 if not s >> q & 1:
                     down[q] &= ~s
         below = [d ^ 1 << q for q, d in enumerate(down)]
+    else:
+        order = _ResidualOrder(l_dfa)
+        below = order.below
     if len({b | 1 << q for q, b in enumerate(below)}) != n:
         raise error
-    if sets is None:
-        primes = sum(1 << q for q in range(n) if order.excess_witness(q) is not None)
-    else:
-        primes = sum(1 << q for q in range(n) if any(s >> q & 1 and not s & below[q] for s in sets))
+    # S_w proves q prime when it holds q and none of below[q]: w is in L_q
+    # and in no residual strictly inside it.
+    primes = 0
+    for s in sets:
+        unproved = s & ~primes
+        while unproved:
+            low = unproved & -unproved
+            if not s & below[low.bit_length() - 1]:
+                primes |= low
+            unproved ^= low
+    if not complete:
+        for q in range(n):
+            if not primes >> q & 1 and order.excess_witness(q) is not None:
+                primes |= 1 << q
     return ResidualIndex(l_dfa, tuple(below), primes)
 
 

@@ -232,8 +232,22 @@ def test_numbered_breadth_first_cases():
     # No symbols: only state 0 is reached.
     assert _numbered_breadth_first(Automaton((), 1, {0}, {0}, []))
     assert not _numbered_breadth_first(Automaton((), 2, {0}, {0}, []))
-    with pytest.raises(ContractError, match="total deterministic"):
-        _numbered_breadth_first(nfa_ends_a())
+    # An input that is not a total DFA raises on every call and keeps nothing.
+    nfa = nfa_ends_a()
+    for _ in range(2):
+        with pytest.raises(ContractError, match="total deterministic"):
+            _numbered_breadth_first(nfa)
+    assert "_numbered" not in vars(nfa)
+
+
+def test_numbered_breadth_first_is_kept_on_the_automaton():
+    dfa = ends_a()
+    assert "_numbered" not in vars(dfa)
+    assert _numbered_breadth_first(dfa)
+    assert vars(dfa)["_numbered"] is True
+    # Not part of the value: equality, hash and repr ignore it.
+    fresh = ends_a()
+    assert dfa == fresh and hash(dfa) == hash(fresh) and repr(dfa) == repr(fresh)
 
 
 def test_determinize_returns_the_corpus_targets_as_they_are(corpus):

@@ -1,9 +1,10 @@
 import pytest
 
-from helpers import even_a, starts_a
+from helpers import even_a, nfa_ends_a, starts_a, third_from_end_a
 from rfsalearn import cli
-from rfsalearn.automata import format_automaton, parse_automaton
+from rfsalearn.automata import Automaton, format_automaton, minimize, parse_automaton
 from rfsalearn.cli import BENCH_HEADER, generate_corpus, lang_file_name, main
+from rfsalearn.residuals import is_prime, residual_index
 
 
 def write_target(tmp_path, automaton, name="target.aut"):
@@ -65,6 +66,43 @@ def test_learn_rev2step_matches_canonical(tmp_path):
 
     hypothesis = parse_automaton(out.read_text(encoding="utf-8"))
     assert isomorphic(hypothesis, canonical_rfsa(minimize(determinize(starts_a()))))
+
+
+def _doubled_sink():
+    """Words starting with a, with two equal sink states: not minimal."""
+    arcs = [(0, "a", 1), (0, "b", 2), (1, "a", 1), (1, "b", 1), (2, "a", 3), (2, "b", 3), (3, "a", 2), (3, "b", 3)]
+    return Automaton(("a", "b"), 4, {0}, {1}, arcs)
+
+
+def _partial_starts_a():
+    """Words starting with a, without the sink state."""
+    return Automaton(("a", "b"), 2, {0}, {1}, [(0, "a", 1), (1, "a", 1), (1, "b", 1)])
+
+
+@pytest.mark.parametrize(
+    "target, minimized",
+    [
+        (even_a(), 0),
+        (_doubled_sink(), 1),
+        (third_from_end_a(), 1),  # minimal, but its start state is 7
+        (_partial_starts_a(), 1),
+        (nfa_ends_a(), 1),
+    ],
+    ids=["canonical", "non_minimal", "misnumbered", "partial", "nfa"],
+)
+def test_language_columns_minimize_only_what_is_not_canonical(monkeypatch, target, minimized):
+    mindfa = minimize(target)
+    index = residual_index(mindfa)
+    expected = mindfa.n_states, sum(is_prime(index, q) for q in range(mindfa.n_states))
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return minimize(a)
+
+    monkeypatch.setattr(cli, "minimize", counted)
+    assert cli._language_columns(target) == expected
+    assert len(calls) == minimized
 
 
 def test_learn_unknown_alg_exit_2(tmp_path, capsys):

@@ -64,7 +64,7 @@ def wide():
 
 def under_cap(dfa) -> bool:
     """True iff ``residual_index`` reads ``dfa``'s index off its co-reachable sets."""
-    return _coreachable_sets(dfa) is not None
+    return _coreachable_sets(dfa)[1]
 
 
 def assert_matches_references(dfa):
@@ -136,7 +136,7 @@ def test_the_oracle_builds_no_includes_past_the_cap(monkeypatch, corpus):
 def test_nth_from_end_is_under_the_cap():
     assert all(under_cap(dfa) for dfa in NTH_END + NTH_END_ABC)
     # n+2 sets, among them the empty one, against 2^n states.
-    assert [len(_coreachable_sets(dfa)) for dfa in NTH_END] == [5, 6, 7, 8, 9, 10]
+    assert [len(_coreachable_sets(dfa)[0]) for dfa in NTH_END] == [5, 6, 7, 8, 9, 10]
 
 
 def test_nth_from_start_is_past_the_cap():
@@ -149,6 +149,64 @@ def test_most_of_the_corpus_is_past_the_cap(corpus):
 
 def test_the_wide_slice_is_past_the_cap(wide):
     assert not any(under_cap(dfa) for dfa in wide)
+
+
+def unproved_states(dfa):
+    """The states that no found co-reachable set proves prime, in order."""
+    sets, below = _coreachable_sets(dfa)[0], _ResidualOrder(dfa).below
+    return [q for q in range(dfa.n_states) if not any(s >> q & 1 and not s & below[q] for s in sets)]
+
+
+def count_excess_searches(monkeypatch):
+    searched = []
+    search = _ResidualOrder.excess_witness
+
+    def counted(order, q):
+        searched.append(q)
+        return search(order, q)
+
+    monkeypatch.setattr(_ResidualOrder, "excess_witness", counted)
+    return searched
+
+
+def test_past_the_cap_the_sets_are_kept():
+    for dfa in NTH_START:
+        sets, complete = _coreachable_sets(dfa)
+        assert not complete and len(sets) == len(set(sets)) == dfa.n_states
+
+
+@pytest.mark.parametrize(
+    "name, expected", [("corpus", 41), ("nth_start", 19)], ids=["corpus", "nth_start"]
+)
+def test_past_the_cap_only_unproved_states_are_searched(monkeypatch, request, name, expected):
+    # One search per state would make 1 236 on the corpus and 38 on nth-start.
+    if name == "corpus":
+        dfas = [dfa for dfa in request.getfixturevalue("corpus") if not under_cap(dfa)]
+    else:
+        dfas = NTH_START
+    searched, total = count_excess_searches(monkeypatch), 0
+    for dfa in dfas:
+        searched.clear()
+        residual_index(dfa)
+        assert searched == unproved_states(dfa)
+        total += len(searched)
+    assert total == expected
+
+
+def test_the_canonical_op_walks_the_numbering_once(monkeypatch):
+    walk, walked = Automaton._numbered.func, []
+
+    def counted(dfa):
+        walked.append(dfa)
+        return walk(dfa)
+
+    monkeypatch.setattr(Automaton._numbered, "func", counted)
+    for dfa in NTH_END[:5]:
+        # A fresh copy keeps nothing from the walks that built ``dfa``.
+        target = Automaton(dfa.alphabet, dfa.n_states, dfa.initial, dfa.final, dfa.transitions)
+        walked.clear()
+        canonical_rfsa(minimize(determinize(target)))
+        assert len(walked) == 1 and walked[0] is target and vars(target)["_numbered"] is True
 
 
 # ------------------------------------------------ against the references
@@ -239,7 +297,7 @@ def test_contract_errors_on_both_sides(dfa, under):
     assert under_cap(dfa) == under
     duplicated = _duplicated(dfa)
     # The doubled state is in exactly the sets its original is in.
-    assert (_coreachable_sets(duplicated) is not None) == under
+    assert _coreachable_sets(duplicated)[1] == under
     for bad in (duplicated, _misnumbered(dfa), _partial(dfa)):
         with pytest.raises(ContractError, match="expected a minimal DFA in canonical numbering"):
             residual_index(bad)
