@@ -13,7 +13,6 @@ in normal form, use the unchecked builder ``Automaton._from_normal``.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
@@ -415,8 +414,6 @@ def minimize(dfa: Automaton) -> Automaton:
     DFA that already is its own canonical minimal DFA, that is one whose
     states are all distinct and which ``_numbered_breadth_first`` accepts, is
     returned as it is: the class walk would number each state as itself.
-    Moore refinement gathers the classes of every state's successor on a
-    symbol in one call of an ``operator.itemgetter`` built before the loop.
     """
     if not (dfa.is_total and dfa.is_deterministic):
         dfa = determinize(dfa)
@@ -425,13 +422,9 @@ def minimize(dfa: Automaton) -> Automaton:
 
     cls = [1 if q in dfa.final else 0 for q in range(n)]
     count = len(set(cls))
-    # gathers[i](cls): the classes of the states' successors on the i-th
-    # symbol, gathered in C.  With one state there is nothing to split, and a
-    # one-index getter returns a scalar, so the loop does not run.
-    gathers = [operator.itemgetter(*row) for row in delta]
-    while n >= 2:
+    while True:
         sig: dict[tuple[int, ...], int] = {}
-        stepped = [gather(cls) for gather in gathers]
+        stepped = [[cls[t] for t in row] for row in delta]
         new = [sig.setdefault(key, len(sig)) for key in zip(cls, *stepped)]
         if len(sig) == count:
             break

@@ -98,17 +98,10 @@ def lang_file_name(k: int) -> str:
 
 
 def _language_columns(target: Automaton) -> tuple[int, int]:
-    """The ``index`` and ``primes`` columns: states of the minimal DFA and prime residuals.
-
-    ``residual_index`` accepts exactly the inputs ``minimize`` returns as they
-    are, so a target that already is its own minimal DFA is not minimized.
-    """
-    try:
-        index = residual_index(target)
-    except ContractError:
-        index = residual_index(minimize(target))
-    n = index.base.n_states
-    return n, sum(is_prime(index, q) for q in range(n))
+    """The ``index`` and ``primes`` columns: states of the minimal DFA and prime residuals."""
+    mindfa = minimize(target)
+    index = residual_index(mindfa)
+    return mindfa.n_states, sum(is_prime(index, q) for q in range(mindfa.n_states))
 
 
 def run_benchmark_record(

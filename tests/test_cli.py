@@ -80,29 +80,22 @@ def _partial_starts_a():
 
 
 @pytest.mark.parametrize(
-    "target, minimized",
+    "target, columns",
     [
-        (even_a(), 0),
-        (_doubled_sink(), 1),
-        (third_from_end_a(), 1),  # minimal, but its start state is 7
-        (_partial_starts_a(), 1),
-        (nfa_ends_a(), 1),
+        (even_a(), (2, 2)),
+        (_doubled_sink(), (3, 2)),
+        (third_from_end_a(), (8, 4)),  # minimal, but its start state is 7
+        (_partial_starts_a(), (3, 2)),
+        (nfa_ends_a(), (2, 2)),
     ],
     ids=["canonical", "non_minimal", "misnumbered", "partial", "nfa"],
 )
-def test_language_columns_minimize_only_what_is_not_canonical(monkeypatch, target, minimized):
+def test_language_columns_on_every_kind_of_target(target, columns):
+    # index: states of the minimal DFA; primes: its prime residuals.
     mindfa = minimize(target)
     index = residual_index(mindfa)
-    expected = mindfa.n_states, sum(is_prime(index, q) for q in range(mindfa.n_states))
-    calls = []
-
-    def counted(a):
-        calls.append(a)
-        return minimize(a)
-
-    monkeypatch.setattr(cli, "minimize", counted)
-    assert cli._language_columns(target) == expected
-    assert len(calls) == minimized
+    assert (mindfa.n_states, sum(is_prime(index, q) for q in range(mindfa.n_states))) == columns
+    assert cli._language_columns(target) == columns
 
 
 def test_learn_unknown_alg_exit_2(tmp_path, capsys):
