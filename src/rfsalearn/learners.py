@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import (
+    EPSILON,
     Automaton,
     ContractError,
     Word,
@@ -91,22 +92,43 @@ def nlstar(teacher) -> LearnerResult:
 
 
 def _residual_order_contexts(auto: Automaton) -> list[Word]:
-    """Contexts that make table rows mirror the residual structure of ``auto``.
+    """Contexts that make table rows mirror the residual structure of ``auto``, each once.
 
     For every ordered state pair whose residuals are not included one in the
     other, the least witness of that non-inclusion; and for every state whose
     residual exceeds the union of the residuals strictly inside it, the least
     witness of that excess.  Over these contexts row inclusion coincides with
     residual inclusion and row coverability with residual composedness, which
-    is what reading an RFSA off the finished table requires.
+    is what reading an RFSA off the finished table requires.  The distinct
+    witnesses come in order of first occurrence, pairs first.
+
+    A pair's least witness is ε when its first state is final and its second
+    is not, and otherwise its least stepping symbol ``a`` (the first step
+    ``_ResidualOrder._walk`` takes) followed by the least witness of the
+    ``a``-successor pair.  So pairs with the same first step share their
+    witness, and only the first of them is walked.
     """
     order = _ResidualOrder(auto)
-    contexts = [order._walk(p, q) for p, row in enumerate(order.dist) for q, d in enumerate(row) if d >= 0]
+    dist, steps = order.dist, order.steps
+    contexts, walked = {}, set()
+    for p, row in enumerate(dist):
+        for q, d in enumerate(row):
+            if d == 0:
+                contexts[EPSILON] = None
+            elif d > 0:
+                d -= 1
+                for a, succ, _ in steps:
+                    first = a, succ[p], succ[q]
+                    if dist[first[1]][first[2]] == d:
+                        break
+                if first not in walked:
+                    walked.add(first)
+                    contexts[order._walk(p, q)] = None
     for q in range(auto.n_states):
         witness = order.excess_witness(q)
         if witness is not None:
-            contexts.append(witness)
-    return contexts
+            contexts[witness] = None
+    return list(contexts)
 
 
 def _completion_contexts(row_auto: Automaton) -> list[Word]:
@@ -154,11 +176,13 @@ def two_step_prime_contexts(teacher) -> LearnerResult:
     """Learn the minimal DFA directly, then pin every accepting state with a context.
 
     For every state and every accepting state of the row automaton, the
-    shortest word leading from one to the other becomes a context
+    length-lex least word leading from one to the other becomes a context
     (unreachable pairs are skipped), and so does every witness of the row
-    automaton's residual order.  The row automaton's arc lists are built
-    once for all the pinning searches, and each distinct context is added
-    once, in order of first occurrence.  After filling those cells the table
+    automaton's residual order.  Each start's pinning search is one
+    breadth-first pass over the row automaton's successor arrays, keeping
+    one word per state.  The contexts go into one ordered dict as they are
+    found, so each distinct context is added once, in order of first
+    occurrence.  After filling those cells the table
     is reduced by dropping all-zero rows and columns and must satisfy the
     weakened closedness/consistency conditions; the answer is read off it
     without any further equivalence query.
@@ -166,21 +190,34 @@ def two_step_prime_contexts(teacher) -> LearnerResult:
     first = lstar_col(teacher)
     table = first.final_table
     # ``lstar_col`` derived its hypothesis from this very table, so it is the
-    # row automaton, with states numbered as their rows first appear in RED.
+    # row automaton, a total DFA with states numbered as their rows first
+    # appear in RED.
     row_auto = first.hypothesis
-    arcs = [row_auto._arcs(q) for q in range(row_auto.n_states)]
+    n = row_auto.n_states
+    symbols = tuple(zip(row_auto.alphabet, row_auto._delta))
     finals = sorted(row_auto.final)
-    contexts = []
-    for start in range(row_auto.n_states):
-        reach = dict(least_words((start,), arcs.__getitem__))
-        contexts += [reach[target] for target in finals if target in reach]
+    contexts = {}
+    for start in range(n):
+        words = [None] * n  # words[q]: the least word from start to q, once reached
+        words[start] = EPSILON
+        queue = [start]
+        for q in queue:  # the loop runs on over the states appended while it runs
+            w = words[q]
+            for a, succ in symbols:
+                t = succ[q]
+                if words[t] is None:
+                    words[t] = w + (a,)
+                    queue.append(t)
+        for target in finals:
+            if words[target] is not None:
+                contexts[words[target]] = None
 
     # Pinning contexts alone do not make row order mirror residual inclusion,
     # so a prime row could still look like the OR of rows below it and drop
     # out of the derived machine.  Witness the residual structure of the
     # verified row automaton explicitly; this costs membership queries only.
-    contexts += _residual_order_contexts(row_auto)
-    for context in dict.fromkeys(contexts):
+    contexts.update(dict.fromkeys(_residual_order_contexts(row_auto)))
+    for context in contexts:
         table.add_context(context)
     table.fill(teacher)
 

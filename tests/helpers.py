@@ -138,6 +138,13 @@ def nth_from_end_nfa(n):
     return Automaton(AB, n + 1, {0}, {n}, arcs)
 
 
+def nth_from_end_abc(n):
+    """n-th symbol from the end is a, over {a, b, c}: 2^n DFA states, n+1 primes."""
+    arcs = [(0, s, 0) for s in "abc"] + [(0, "a", 1)]
+    arcs += [(i, s, i + 1) for i in range(1, n) for s in "abc"]
+    return minimize(determinize(Automaton(("a", "b", "c"), n + 1, {0}, {n}, arcs)))
+
+
 def table_for(lang: Automaton, red, contexts) -> ObservationTable:
     """Observation table filled from a known language, no teacher involved."""
     red = [word(s) if isinstance(s, str) else tuple(s) for s in red]

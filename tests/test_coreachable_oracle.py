@@ -9,7 +9,14 @@ checked against the per-pair references, against the other side and, through
 import pytest
 from hypothesis import given, settings
 
-from helpers import minimal_dfas, nth_from_end_nfa, reference_excess_witness, reference_includes, renumbered
+from helpers import (
+    minimal_dfas,
+    nth_from_end_abc,
+    nth_from_end_nfa,
+    reference_excess_witness,
+    reference_includes,
+    renumbered,
+)
 from rfsalearn.automata import (
     Automaton,
     ContractError,
@@ -35,13 +42,6 @@ from rfsalearn.residuals import (
 
 def canon(a):
     return minimize(determinize(a))
-
-
-def nth_from_end_abc(n):
-    """n-th symbol from the end is a, over {a, b, c}: 2^n DFA states, n+1 primes."""
-    arcs = [(0, s, 0) for s in "abc"] + [(0, "a", 1)]
-    arcs += [(i, s, i + 1) for i in range(1, n) for s in "abc"]
-    return canon(Automaton(("a", "b", "c"), n + 1, {0}, {n}, arcs))
 
 
 NTH_END = [canon(nth_from_end_nfa(n)) for n in range(3, 9)]

@@ -15,6 +15,7 @@ from helpers import (
     learner_digest,
     minimal_dfas,
     nfa_ends_a,
+    nth_from_end_abc,
     nth_from_end_nfa,
     pinned_targets,
     reference_normalise,
@@ -448,6 +449,17 @@ def test_second_step_contexts_match_reference_on_pinned_targets(monkeypatch):
 @pytest.mark.parametrize("n", range(3, 7))
 def test_second_step_contexts_match_reference_on_nth_from_end(monkeypatch, n):
     check_second_step_contexts(monkeypatch, canon(nth_from_end_nfa(n)))
+
+
+@pytest.mark.parametrize("alphabet_size", [1, 3])
+def test_second_step_contexts_match_reference_on_other_alphabets(monkeypatch, alphabet_size):
+    for target in generate_corpus(20, 8, alphabet_size, 42):
+        check_second_step_contexts(monkeypatch, target)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_second_step_contexts_match_reference_on_nth_from_end_abc(monkeypatch, n):
+    check_second_step_contexts(monkeypatch, nth_from_end_abc(n))
 
 
 def test_two_step_prime_contexts_diagnoses_a_bad_completed_table(monkeypatch):

@@ -51,7 +51,7 @@ def assert_matches_reference(dfa):
     assert [is_prime(index, q) for q in range(n)] == [
         reference_excess_witness(dfa, includes, q) is not None for q in range(n)
     ]
-    assert _residual_order_contexts(dfa) == reference_residual_order_contexts(dfa)
+    assert _residual_order_contexts(dfa) == list(dict.fromkeys(reference_residual_order_contexts(dfa)))
 
 
 def test_kernel_matches_reference_on_corpus(corpus):
@@ -89,6 +89,28 @@ def test_walk_rejects_an_included_pair():
     for p, q in included:
         with pytest.raises(ContractError):
             order._walk(p, q)
+
+
+def count_walks(monkeypatch, dfas):
+    """The ``_walk`` calls ``_residual_order_contexts`` makes over ``dfas``."""
+    calls = []
+    walk = _ResidualOrder._walk
+
+    def counted(order, p, q):
+        calls.append((p, q))
+        return walk(order, p, q)
+
+    monkeypatch.setattr(_ResidualOrder, "_walk", counted)
+    for dfa in dfas:
+        _residual_order_contexts(dfa)
+    return len(calls)
+
+
+def test_one_walk_per_distinct_first_step(monkeypatch, corpus):
+    # Of 3 367 and 6 866 non-included pairs, only those with a first step
+    # not seen before are walked, and none whose witness is ε.
+    assert count_walks(monkeypatch, [canon(nth_from_end_nfa(6))]) == 781
+    assert count_walks(monkeypatch, corpus) == 3547
 
 
 def test_kernel_rejects_partial_input():
