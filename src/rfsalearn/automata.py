@@ -82,14 +82,17 @@ class Automaton:
     ``transitions`` is kept as a sorted tuple of ``(state, symbol, targets)``
     entries with non-empty target sets; pairs that do not appear map to the
     empty set, so the transition relation is total as a mapping but the
-    machine itself may be partial.
+    machine itself may be partial.  Equal target sets are one shared
+    frozenset, so a DFA holds at most one per state.
 
     The constructor checks input from outside in one ordered scan, so that
     an error names the first bad value, and normalises it: the parser, the
     constructions of this module, the oracles and the test references all
     build through it.  ``_from_normal`` takes fields already in normal
     form and checks nothing; the table derivations use it.  Both set the
-    fields and the transition index in one place, ``_install``.
+    fields and the transition index ``_step`` in one place, ``_install``:
+    ``_step[a][q]`` is the target set of ``q`` on ``a``, ``_EMPTY`` where
+    there is no arc.
     """
 
     alphabet: tuple[str, ...]
@@ -124,8 +127,12 @@ class Automaton:
                 merged[-1][2].append(r)
             else:
                 merged.append((q, a, [r]))
-        normal = tuple([(q, a, frozenset(ts)) for q, a, ts in merged])
-        self._install(symbols, n, initial, final, normal, symbol_set)
+        shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct target set
+        normal = []
+        for q, a, ts in merged:
+            ts = frozenset(ts)
+            normal.append((q, a, shared.setdefault(ts, ts)))
+        self._install(symbols, n, initial, final, tuple(normal), symbol_set)
 
     @classmethod
     def _from_normal(cls, alphabet, n_states, initial, final, transitions) -> Automaton:
@@ -137,7 +144,7 @@ class Automaton:
         - ``initial`` and ``final``, frozensets of int ids in ``0..n_states-1``;
         - ``transitions``, a tuple of ``(q, a, frozenset)`` entries with
           non-empty target sets of such ids, strictly increasing in ``(q, a)``
-          with symbols in alphabet order.
+          with symbols in alphabet order, equal target sets being one object.
         """
         self = object.__new__(cls)
         self._install(alphabet, n_states, initial, final, transitions, _checked_alphabet(alphabet)[1])
@@ -146,22 +153,32 @@ class Automaton:
     def _install(self, alphabet, n_states, initial, final, transitions, symbol_set):
         """Set every field, the transition index and the symbol set among them.
 
+        The index ``_step`` holds one row per symbol, in alphabet order, with
+        the target set of each state.
+
         Each goes through ``object.__setattr__`` in declaration order, as the
         dataclass ``__init__`` sets them: reading ``vars(self)`` instead would
         make CPython keep a separate dict per instance and slow every later
         attribute read on the value.
         """
+        step = {a: [_EMPTY] * n_states for a in alphabet}
+        for q, a, ts in transitions:
+            step[a][q] = ts
         set_field = object.__setattr__
         set_field(self, "alphabet", alphabet)
         set_field(self, "n_states", n_states)
         set_field(self, "initial", initial)
         set_field(self, "final", final)
         set_field(self, "transitions", transitions)
-        set_field(self, "_step", {(q, a): ts for q, a, ts in transitions})
+        set_field(self, "_step", step)
         set_field(self, "_symbol_set", symbol_set)
 
     def step(self, q: int, a: str) -> frozenset[int]:
-        return self._step.get((q, a), frozenset())
+        """The targets of ``q`` on ``a``; empty for a foreign symbol or a ``q`` that is no state id."""
+        row = self._step.get(a)
+        if row is not None and isinstance(q, int) and 0 <= q < self.n_states:
+            return row[q]
+        return _EMPTY
 
     def run(self, sources, w: Word) -> frozenset[int]:
         """Set of states reachable from ``sources`` along ``w``."""
@@ -175,17 +192,18 @@ class Automaton:
 
     def _successors(self, states, a: str) -> frozenset[int]:
         """States reachable from ``states`` by one ``a``-step."""
+        row = self._step[a]
         if len(states) == 1:  # a DFA's run: the stored target set is the answer
             (q,) = states
-            return self._step.get((q, a), _EMPTY)
+            return row[q]
         out: set[int] = set()
         for q in states:
-            out.update(self._step.get((q, a), ()))
+            out.update(row[q])
         return frozenset(out)
 
     def _arcs(self, q: int) -> list[tuple[str, int]]:
         """``(symbol, target)`` pairs leaving ``q``, in alphabet order."""
-        return [(a, r) for a in self.alphabet for r in self._step.get((q, a), ())]
+        return [(a, r) for a, row in self._step.items() for r in row[q]]
 
     def accepts(self, w: Word) -> bool:
         return bool(self.run(self.initial, w) & self.final)
@@ -210,13 +228,18 @@ class Automaton:
         return [flat[i::k] for i in range(k)]
 
     @functools.cached_property
-    def _preds(self) -> dict[tuple[int, str], list[int]]:
-        """``(state, symbol)`` → the states with an arc on ``symbol`` into ``state``."""
-        preds: dict[tuple[int, str], list[int]] = {}
+    def _preds(self) -> dict[str, list[tuple[int, ...]]]:
+        """``preds[a][r]``: the states with an arc on ``a`` into ``r``, in increasing order.
+
+        Kept as tuples, which hold no spare room and share the one empty tuple.
+        """
+        n = self.n_states
+        preds = {a: [[] for _ in range(n)] for a in self.alphabet}
         for q, a, targets in self.transitions:
+            row = preds[a]
             for r in targets:
-                preds.setdefault((r, a), []).append(q)
-        return preds
+                row[r].append(q)
+        return {a: [tuple(sources) for sources in row] for a, row in preds.items()}
 
     @functools.cached_property
     def _pred_masks(self) -> list[list[int]]:
@@ -451,8 +474,10 @@ def useful_states(a: Automaton) -> frozenset[int]:
     One search forward from the initial states and one backward from the
     finals over the predecessor view; only the states they reach are used.
     """
+    preds = a._preds
+
     def back_arcs(q):
-        return [(sym, p) for sym in a.alphabet for p in a._preds.get((q, sym), ())]
+        return [(sym, p) for sym, row in preds.items() for p in row[q]]
 
     fwd = {q for q, _ in least_words(a.initial, a._arcs)}
     return frozenset(q for q, _ in least_words(a.final, back_arcs) if q in fwd)
@@ -548,8 +573,7 @@ class _ResidualOrder:
     @functools.cached_property
     def dist(self) -> list[list[int]]:
         n, final, preds = self.n, self.final_mask, self.dfa._preds
-        # pre[i][q]: the predecessors of q on the i-th symbol, indexed for the hot loop
-        pre = [[preds.get((q, a), ()) for q in range(n)] for a in self.alphabet]
+        pre = [preds[a] for a in self.alphabet]  # pre[i][q]: the predecessors of q on the i-th symbol
         is_final = [final >> q & 1 for q in range(n)]
         seeded = [-1 if f else 0 for f in is_final]
         dist = [seeded.copy() if f else [-1] * n for f in is_final]
@@ -635,7 +659,7 @@ def _joint_colors(a: Automaton, b: Automaton) -> tuple[list[int], list[int]]:
     for _ in range(max(a.n_states, b.n_states) + 1):
         def key(aut, col, pred, q):
             out = tuple(tuple(sorted(col[r] for r in aut.step(q, s))) for s in aut.alphabet)
-            inc = tuple(tuple(sorted(col[r] for r in pred.get((q, s), ()))) for s in aut.alphabet)
+            inc = tuple(tuple(sorted(col[r] for r in pred[s][q])) for s in aut.alphabet)
             return (col[q], out, inc)
 
         ka = [key(a, ca, pa, q) for q in range(a.n_states)]

@@ -595,17 +595,29 @@ def derive_reversal_rfsa(modified: ModifiedTable) -> Automaton:
     eps = sum(1 << i for i, s in enumerate(reds) if modified.eps_obs.get(s))
     useful = _reach(start, post) & _reach(eps, pre)
 
+    columns_inside = _inside(columns)
     arcs = []
     for i, q1 in enumerate(columns):
         for a, by_state in zip(alphabet, pre):
-            pred_union = mask_union(by_state, q1 & useful) & useful
-            js = [j for j, q2 in enumerate(columns) if not q2 & ~pred_union]
+            js = columns_inside(mask_union(by_state, q1 & useful) & useful)
             if js:
-                arcs.append((i, a, frozenset(js)))
+                arcs.append((i, a, js))
 
-    initial = frozenset(i for i, m in enumerate(columns) if not m & ~eps)
     final = frozenset(i for i, m in enumerate(columns) if m & start)
-    return Automaton._from_normal(alphabet, len(columns), initial, final, tuple(arcs))
+    return Automaton._from_normal(alphabet, len(columns), columns_inside(eps), final, tuple(arcs))
+
+
+def _inside(masks):
+    """``inside(value)``: the frozenset of the ``i`` with ``masks[i]`` inside ``value``, one object per value."""
+    found: dict[int, frozenset[int]] = {}
+
+    def inside(value):
+        out = found.get(value)
+        if out is None:
+            out = found[value] = frozenset([i for i, m in enumerate(masks) if not m & ~value])
+        return out
+
+    return inside
 
 
 def _reach(mask: int, steps) -> int:
@@ -634,16 +646,15 @@ def derive_rfsa(table: ObservationTable) -> Automaton:
     cells = table._cells  # RFSA-closed, so filled
     masks = [cells[s] for s in reps]
     eps_at = table._context_pos[EPSILON]
-    root = cells[EPSILON]
-    initial = frozenset(i for i, m in enumerate(masks) if m & ~root == 0)
+    states_inside = _inside(masks)
+    initial = states_inside(cells[EPSILON])
     final = frozenset(i for i, m in enumerate(masks) if (m >> eps_at) & 1)
     arcs = []
     for i, s in enumerate(reps):
         for a in table._alphabet:
-            succ = cells[s + (a,)]
-            js = [j for j, m in enumerate(masks) if m & ~succ == 0]
+            js = states_inside(cells[s + (a,)])
             if js:
-                arcs.append((i, a, frozenset(js)))
+                arcs.append((i, a, js))
     return Automaton._from_normal(table._alphabet, len(reps), initial, final, tuple(arcs))
 
 

@@ -450,9 +450,7 @@ def reference_derive_reversal_rfsa(modified):
     arcs = []
     for i, q1 in enumerate(column_sets):
         for a in table.alphabet:
-            pred_union = set()
-            for q in q1 & useful:
-                pred_union |= {p for p in inner._preds.get((q, a), ()) if p in useful}
+            pred_union = {p for p, sym, ts in inner.transitions if sym == a and p in useful and ts & q1 & useful}
             for j, q2 in enumerate(column_sets):
                 if q2 <= pred_union:
                     arcs.append((i, a, j))
@@ -508,6 +506,14 @@ def reference_normalise(alphabet, n_states, initial, final, transitions):
         if ts
     )
     return symbols, initial, final, normal
+
+
+def reference_step_rows(alphabet, n_states, transitions):
+    """``Automaton._step`` as read off normal-form ``transitions``: one row of target sets per symbol."""
+    return {
+        a: [frozenset(r for q2, sym, ts in transitions if (q2, sym) == (q, a) for r in ts) for q in range(n_states)]
+        for a in alphabet
+    }
 
 
 # ------------------------------ reversal equivalence, transpose and mask step references

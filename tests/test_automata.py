@@ -406,12 +406,8 @@ def test_delta_is_the_single_successor(corpus):
 
 def test_preds_list_exactly_the_predecessors(corpus):
     for aut in list(corpus) + nth_end_dfas() + nfa_fixtures():
-        expected = {}
-        for r in range(aut.n_states):
-            for a in aut.alphabet:
-                sources = [q for q in range(aut.n_states) if r in aut.step(q, a)]
-                if sources:
-                    expected[(r, a)] = sources
+        states = range(aut.n_states)
+        expected = {a: [tuple(q for q in states if r in aut.step(q, a)) for r in states] for a in aut.alphabet}
         assert aut._preds == expected
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import AB, nth_from_end_nfa, reference_normalise
+from helpers import AB, nth_from_end_nfa, reference_normalise, reference_step_rows
 from rfsalearn.automata import Automaton, InputError, determinize
 from rfsalearn.residuals import canonical_rfsa
 from rfsalearn.tables import ObservationTable
@@ -206,4 +206,4 @@ def test_constructor_matches_reference_normaliser(raw):
     # An int subclass such as ``True`` is kept as the plain int it equals.
     ids = [*a.initial, *a.final, *(r for q, _, ts in a.transitions for r in (q, *ts))]
     assert {type(q) for q in ids} <= {int}
-    assert a._step == {(q, sym): ts for q, sym, ts in expected[3]}
+    assert a._step == reference_step_rows(expected[0], raw[1], expected[3])

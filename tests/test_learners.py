@@ -20,6 +20,7 @@ from helpers import (
     pinned_targets,
     reference_normalise,
     reference_residual_order_contexts,
+    reference_step_rows,
     starts_a,
     table_from_bits,
     third_from_end_a,
@@ -181,7 +182,7 @@ def test_derivations_build_what_the_checked_constructor_builds(monkeypatch):
         assert (auto.alphabet, auto.initial, auto.final, auto.transitions) == expected
         again = Automaton(*fields)
         assert auto == again
-        assert auto._step == again._step == {(q, a): ts for q, a, ts in expected[3]}
+        assert auto._step == again._step == reference_step_rows(expected[0], fields[1], expected[3])
         assert auto._symbol_set == again._symbol_set
         assert pickle.loads(pickle.dumps(auto)) == auto
         return auto
@@ -200,6 +201,22 @@ def test_derivations_build_what_the_checked_constructor_builds(monkeypatch):
     empty = [i for i, target in enumerate(targets) if not useful_states(target)]
     assert len(empty) == 2  # the hand-made empty language and the 0-state edge target
     assert built == [("two_step_prime_contexts", i, "two_step_prime_contexts", 0) for i in empty]
+
+
+def test_equal_target_sets_are_one_object(corpus):
+    # Both builders keep one frozenset per distinct target set, so a DFA
+    # holds at most one per state; ``step`` reads empty off anything that is
+    # not an arc, and an int subclass such as ``True`` reads the state it equals.
+    autos = [a for target in corpus for a in (target, minimize(target), canonical_rfsa(target))]
+    for target in list(corpus[:20]) + [canon(nth_from_end_nfa(n)) for n in range(3, 6)]:
+        autos += [learner(TeacherSession(target)).hypothesis for learner in ALL_LEARNERS]
+    for a in autos:
+        assert len({id(ts) for *_, ts in a.transitions}) == len({ts for *_, ts in a.transitions})
+        for sym in a.alphabet:
+            assert a.step(a.n_states, sym) == a.step(-1, sym) == frozenset()
+            if a.n_states > 1:
+                assert a.step(True, sym) is a.step(1, sym)
+        assert a.step(0, "z") == frozenset()
 
 
 # ------------------------------------------------------------------ALL correct
