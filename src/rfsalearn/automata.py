@@ -228,20 +228,6 @@ class Automaton:
         return [flat[i::k] for i in range(k)]
 
     @functools.cached_property
-    def _preds(self) -> dict[str, list[tuple[int, ...]]]:
-        """``preds[a][r]``: the states with an arc on ``a`` into ``r``, in increasing order.
-
-        Kept as tuples, which hold no spare room and share the one empty tuple.
-        """
-        n = self.n_states
-        preds = {a: [[] for _ in range(n)] for a in self.alphabet}
-        for q, a, targets in self.transitions:
-            row = preds[a]
-            for r in targets:
-                row[r].append(q)
-        return {a: [tuple(sources) for sources in row] for a, row in preds.items()}
-
-    @functools.cached_property
     def _pred_masks(self) -> list[list[int]]:
         """``pre[i][r]``: the mask of the states with an arc on the i-th symbol into ``r``."""
         position = {a: i for i, a in enumerate(self.alphabet)}
@@ -258,7 +244,12 @@ class Automaton:
 
     @functools.cached_property
     def _numbered(self) -> bool:
-        """The breadth-first numbering walk behind :func:`_numbered_breadth_first`."""
+        """True iff the DFA starts at 0 alone and a breadth-first walk from there visits 0..n-1 in order.
+
+        The walk takes the symbols in alphabet order, and the automaton must
+        be a total DFA: any other that starts at 0 alone raises
+        ``ContractError`` on every call, since a failed ``_delta`` is not kept.
+        """
         if self.initial != {0}:
             return False
         reached = 1  # the walk has numbered the states 0..reached-1 so far
@@ -382,16 +373,6 @@ def reverse_automaton(a: Automaton) -> Automaton:
     return Automaton(a.alphabet, a.n_states, a.final, a.initial, tuple(arcs))
 
 
-def _numbered_breadth_first(dfa: Automaton) -> bool:
-    """True iff ``dfa`` starts at 0 alone and a breadth-first walk from there visits 0..n-1 in order.
-
-    The walk takes the symbols in alphabet order; ``dfa`` must be a total DFA.
-    It runs once per automaton and its result is kept on it, like ``_delta``;
-    an input that is not a total DFA raises ``ContractError`` on every call.
-    """
-    return dfa._numbered
-
-
 def determinize(a: Automaton) -> Automaton:
     """Deterministic, total, language-equivalent automaton (subset construction).
 
@@ -399,7 +380,7 @@ def determinize(a: Automaton) -> Automaton:
     visits its states 0..n-1 in order is returned as it is: the subset
     construction would rebuild an equal value.
     """
-    if a.is_total and a.is_deterministic and _numbered_breadth_first(a):
+    if a.is_total and a.is_deterministic and a._numbered:
         return a
     return determinize_labeled(a)[0]
 
@@ -435,7 +416,7 @@ def minimize(dfa: Automaton) -> Automaton:
     sorted alphabet, so two inputs with the same language produce identical
     values.  An input that is not a total DFA is determinized first.  A total
     DFA that already is its own canonical minimal DFA, that is one whose
-    states are all distinct and which ``_numbered_breadth_first`` accepts, is
+    states are all distinct and whose numbering ``_numbered`` accepts, is
     returned as it is: the class walk would number each state as itself.
     """
     if not (dfa.is_total and dfa.is_deterministic):
@@ -452,7 +433,7 @@ def minimize(dfa: Automaton) -> Automaton:
         if len(sig) == count:
             break
         cls, count = new, len(sig)
-    if count == n and _numbered_breadth_first(dfa):
+    if count == n and dfa._numbered:
         return dfa
 
     # Only the classes reached from the start's class are numbered, in
@@ -471,16 +452,12 @@ def minimize(dfa: Automaton) -> Automaton:
 def useful_states(a: Automaton) -> frozenset[int]:
     """States on some path from an initial state to a final state.
 
-    One search forward from the initial states and one backward from the
-    finals over the predecessor view; only the states they reach are used.
+    They are the states reachable from the initial states both in ``a`` and
+    in its reversal, whose initial states are the finals of ``a``.
     """
-    preds = a._preds
-
-    def back_arcs(q):
-        return [(sym, p) for sym, row in preds.items() for p in row[q]]
-
+    back = reverse_automaton(a)
     fwd = {q for q, _ in least_words(a.initial, a._arcs)}
-    return frozenset(q for q, _ in least_words(a.final, back_arcs) if q in fwd)
+    return frozenset(q for q, _ in least_words(back.initial, back._arcs) if q in fwd)
 
 
 def trim(a: Automaton) -> Automaton:
@@ -557,23 +534,28 @@ class _ResidualOrder:
     ``dist[p][q]`` is the length of the shortest word in L_p \\ L_q, or -1 when
     L_p ⊆ L_q.  It comes from one backward breadth-first search over the pair
     graph seeded at the (final, non-final) pairs, so all pairs together cost
-    O(n²·|Σ|).  It is computed on first use only, as are the strictly-below
-    masks ``below``, read off it, which start the excess search.
+    O(n²·|Σ|); the search steps back over per-symbol predecessor lists that
+    it builds from the successor rows, once per kernel.  It is computed on
+    first use only, as are the strictly-below masks ``below``, read off it,
+    which start the excess search.
     """
 
     def __init__(self, dfa: Automaton):
-        self.dfa = dfa
-        self.alphabet = dfa.alphabet
         self.n = dfa.n_states
         # (symbol, successor row, successor bit row) triples in alphabet order,
-        # for the walks; the bit rows step a mask of states by ``mask_union``.
+        # for the walks and ``dist``; the bit rows step a mask of states by
+        # ``mask_union``.
         self.steps = tuple((a, row, [1 << t for t in row]) for a, row in zip(dfa.alphabet, dfa._delta))
         self.final_mask = sum(1 << q for q in dfa.final)
 
     @functools.cached_property
     def dist(self) -> list[list[int]]:
-        n, final, preds = self.n, self.final_mask, self.dfa._preds
-        pre = [preds[a] for a in self.alphabet]  # pre[i][q]: the predecessors of q on the i-th symbol
+        n, final = self.n, self.final_mask
+        # pre[i][q]: the predecessors of q on the i-th symbol, in increasing order.
+        pre = [[[] for _ in range(n)] for _ in self.steps]
+        for by_state, (_, row, _) in zip(pre, self.steps):
+            for q, t in enumerate(row):
+                by_state[t].append(q)
         is_final = [final >> q & 1 for q in range(n)]
         seeded = [-1 if f else 0 for f in is_final]
         dist = [seeded.copy() if f else [-1] * n for f in is_final]
@@ -648,29 +630,27 @@ class _ResidualOrder:
 
 
 def _joint_colors(a: Automaton, b: Automaton) -> tuple[list[int], list[int]]:
-    """Stable structural colors computed jointly so they compare across automata."""
+    """Stable structural colors computed jointly so they compare across automata.
 
-    pa, pb = a._preds, b._preds
-    ca = [(q in a.initial, q in a.final) for q in range(a.n_states)]
-    cb = [(q in b.initial, q in b.final) for q in range(b.n_states)]
-    index = {k: i for i, k in enumerate(sorted(set(ca) | set(cb)))}
-    ca = [index[k] for k in ca]
-    cb = [index[k] for k in cb]
-    for _ in range(max(a.n_states, b.n_states) + 1):
-        def key(aut, col, pred, q):
-            out = tuple(tuple(sorted(col[r] for r in aut.step(q, s))) for s in aut.alphabet)
-            inc = tuple(tuple(sorted(col[r] for r in pred[s][q])) for s in aut.alphabet)
-            return (col[q], out, inc)
+    A state's color refines on its own color and its targets' colors per
+    symbol; incoming arcs are not read.  Colors only prune the search of
+    :func:`isomorphic`, which checks every arc both ways.
+    """
 
-        ka = [key(a, ca, pa, q) for q in range(a.n_states)]
-        kb = [key(b, cb, pb, q) for q in range(b.n_states)]
+    def key(aut, col, q):
+        return col[q], tuple(tuple(sorted(col[r] for r in aut.step(q, s))) for s in aut.alphabet)
+
+    ka = [(q in a.initial, q in a.final) for q in range(a.n_states)]
+    kb = [(q in b.initial, q in b.final) for q in range(b.n_states)]
+    count = 0  # each round refines the last, so the colors are stable once their count is
+    while True:
         index = {k: i for i, k in enumerate(sorted(set(ka) | set(kb)))}
-        na = [index[k] for k in ka]
-        nb = [index[k] for k in kb]
-        if len(set(na)) == len(set(ca)) and len(set(nb)) == len(set(cb)):
-            return na, nb
-        ca, cb = na, nb
-    return ca, cb
+        ca, cb = [index[k] for k in ka], [index[k] for k in kb]
+        if len(index) == count:
+            return ca, cb
+        count = len(index)
+        ka = [key(a, ca, q) for q in range(a.n_states)]
+        kb = [key(b, cb, q) for q in range(b.n_states)]
 
 
 def isomorphic(a: Automaton, b: Automaton) -> bool:
@@ -689,8 +669,7 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     for q, c in enumerate(cb):
         by_color.setdefault(c, []).append(q)
     order = sorted(range(a.n_states), key=lambda q: (len(by_color[ca[q]]), q))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    mapping: dict[int, int] = {}  # order[i] -> its image, inserted in that order
 
     def consistent(p: int, q: int) -> bool:
         for sym in a.alphabet:
@@ -705,22 +684,22 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
                 return False
         return True
 
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
-        p = order[i]
-        for q in by_color[ca[p]]:
-            if q in used or not consistent(p, q):
-                continue
+    # An iterative search, so no closure refers to itself and a call leaves no
+    # reference cycle: images[i] holds the untried images of order[i].
+    images = []
+    while len(mapping) < len(order):
+        p = order[len(mapping)]
+        if len(images) == len(mapping):
+            images.append(iter(by_color[ca[p]]))
+        q = next((q for q in images[-1] if q not in mapping.values() and consistent(p, q)), None)
+        if q is not None:
             mapping[p] = q
-            used.add(q)
-            if assign(i + 1):
-                return True
-            del mapping[p]
-            used.remove(q)
-        return False
-
-    return assign(0)
+            continue
+        images.pop()
+        if not images:
+            return False
+        mapping.popitem()
+    return True
 
 
 def parse_automaton(text: str) -> Automaton:

@@ -29,7 +29,6 @@ from .automata import (
     Automaton,
     ContractError,
     InputError,
-    _numbered_breadth_first,
     _ResidualOrder,
     _check_state,
     determinize_labeled,
@@ -93,7 +92,7 @@ def residual_index(l_dfa: Automaton) -> ResidualIndex:
     """
     error = ContractError("expected a minimal DFA in canonical numbering")
     try:
-        numbered = _numbered_breadth_first(l_dfa)
+        numbered = l_dfa._numbered
     except ContractError:  # not a total DFA
         numbered = False
     if not numbered:

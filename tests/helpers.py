@@ -8,7 +8,8 @@ against, the reversed-automaton equivalence query, bit-loop transpose and
 bit-loop mask step that the teacher's backward walk, ``tables._transpose``
 and ``automata.mask_union`` are checked against, the pair-set totality test
 that ``Automaton.is_total`` is checked against, the member-by-member
-subset oracle that ``c_of_b`` is checked against, the brute-force extension
+subset oracle that ``c_of_b`` is checked against, the every-bijection
+check that ``isomorphic`` is checked against, the brute-force extension
 scan that both table consistency checks are checked against, the names only
 tests use (two row predicates over ``ObservationTable.row`` and a
 brute-force distinguishing-context count), and the query log and digests
@@ -16,7 +17,7 @@ that pin every observable output of the learners on a fixed slice of
 targets."""
 import hashlib
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
@@ -633,6 +634,21 @@ def reference_c_of_b(b):
     initial = {number[p] for p in members if p <= b.initial}
     final = {number[p] for p in members if p & b.final}
     return Automaton(b.alphabet, len(members), initial, final, arcs)
+
+
+def reference_isomorphic(a, b):
+    """``isomorphic`` by trying every bijection of the states of ``a`` onto those of ``b``."""
+    if a.alphabet != b.alphabet or a.n_states != b.n_states:
+        return False
+    arcs_b = {(q, sym, t) for q, sym, ts in b.transitions for t in ts}
+    for perm in permutations(range(a.n_states)):
+        if (
+            {perm[q] for q in a.initial} == b.initial
+            and {perm[q] for q in a.final} == b.final
+            and {(perm[q], sym, perm[t]) for q, sym, ts in a.transitions for t in ts} == arcs_b
+        ):
+            return True
+    return False
 
 
 # ------------------------------------------------------------ residual labels

@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 import re
@@ -17,6 +18,7 @@ from helpers import (
     nth_from_end_nfa,
     reference_includes,
     reference_is_total,
+    reference_isomorphic,
     reference_mask_union,
     renumbered,
     starts_a,
@@ -29,7 +31,6 @@ from rfsalearn.automata import (
     ParseError,
     _first_hit,
     _forward_side,
-    _numbered_breadth_first,
     _ResidualOrder,
     _reversed_side,
     determinize,
@@ -47,6 +48,8 @@ from rfsalearn.automata import (
     trim,
     word,
 )
+from rfsalearn.learners import lstar_col, nlstar
+from rfsalearn.teacher import TeacherSession
 
 
 # ----------------------------------------------------------------- run/accepts
@@ -220,30 +223,30 @@ def test_determinize_equals_the_subset_construction_on_total_dfas(dfa):
         det = determinize(a)
         assert det == determinize_labeled(a)[0]
         numbered = _walk_order(a) == list(range(a.n_states))
-        assert _numbered_breadth_first(a) == numbered
+        assert a._numbered == numbered
         assert (det is a) == numbered
 
 
 def test_numbered_breadth_first_cases():
-    assert _numbered_breadth_first(ends_a())
-    assert not _numbered_breadth_first(_with_unreachable(ends_a()))
-    assert not _numbered_breadth_first(_with_unreachable(ends_a(), None))
-    assert not _numbered_breadth_first(renumbered(ends_a(), [1, 0]))
+    assert ends_a()._numbered
+    assert not _with_unreachable(ends_a())._numbered
+    assert not _with_unreachable(ends_a(), None)._numbered
+    assert not renumbered(ends_a(), [1, 0])._numbered
     # No symbols: only state 0 is reached.
-    assert _numbered_breadth_first(Automaton((), 1, {0}, {0}, []))
-    assert not _numbered_breadth_first(Automaton((), 2, {0}, {0}, []))
+    assert Automaton((), 1, {0}, {0}, [])._numbered
+    assert not Automaton((), 2, {0}, {0}, [])._numbered
     # An input that is not a total DFA raises on every call and keeps nothing.
     nfa = nfa_ends_a()
     for _ in range(2):
         with pytest.raises(ContractError, match="total deterministic"):
-            _numbered_breadth_first(nfa)
+            nfa._numbered
     assert "_numbered" not in vars(nfa)
 
 
 def test_numbered_breadth_first_is_kept_on_the_automaton():
     dfa = ends_a()
     assert "_numbered" not in vars(dfa)
-    assert _numbered_breadth_first(dfa)
+    assert dfa._numbered
     assert vars(dfa)["_numbered"] is True
     # Not part of the value: equality, hash and repr ignore it.
     fresh = ends_a()
@@ -298,7 +301,7 @@ def test_minimize_renumbers_a_permuted_minimal_dfa():
     depth_first = renumbered(m, [order.index(q) for q in range(n)])
     assert depth_first.initial == {0}
     for a in (permuted, depth_first):
-        assert not _numbered_breadth_first(a)
+        assert not a._numbered
         out = minimize(a)
         assert out is not a and a != m
         assert out == m
@@ -404,13 +407,6 @@ def test_delta_is_the_single_successor(corpus):
                 assert dfa.step(q, a) == {delta[i][q]}
 
 
-def test_preds_list_exactly_the_predecessors(corpus):
-    for aut in list(corpus) + nth_end_dfas() + nfa_fixtures():
-        states = range(aut.n_states)
-        expected = {a: [tuple(q for q in states if r in aut.step(q, a)) for r in states] for a in aut.alphabet}
-        assert aut._preds == expected
-
-
 def test_delta_rejects_nfa_and_partial_input():
     with pytest.raises(ContractError, match="state 0 has 2 successors on 'a'"):
         nfa_ends_a()._delta
@@ -427,7 +423,7 @@ def test_views_leave_equality_and_hash_unchanged(corpus):
         fields = (aut.alphabet, aut.n_states, aut.initial, aut.final, aut.transitions)
         built, plain = Automaton(*fields), Automaton(*fields)
         before = hash(built)
-        built._preds
+        built._pred_masks
         if built.is_deterministic and built.is_total:
             built._delta
         assert built == plain and plain == built
@@ -534,6 +530,80 @@ def test_isomorphic_permutation():
 
 def test_isomorphic_same_size_different_structure():
     assert not isomorphic(even_a(), ends_a())
+
+
+def _random_automaton(rng):
+    """A 2-letter automaton with 0-4 states: a total DFA or an NFA, often without initial or final states.
+
+    Half of those with two states or more get a last state that copies the
+    arcs and finality of state 0, so the two accept the same language.
+    """
+    n = rng.randint(0, 4)
+    states = range(n)
+    p_initial, p_final = rng.choice((0, 0.3, 0.6)), rng.choice((0, 0.3, 0.6))
+    initial = {q for q in states if rng.random() < p_initial}
+    final = {q for q in states if rng.random() < p_final}
+    if rng.random() < 0.5:
+        arcs = [(q, a, rng.randrange(n)) for q in states for a in AB]
+    else:
+        density = rng.choice((0.2, 0.4, 0.6))
+        arcs = [(q, a, t) for q in states for a in AB for t in states if rng.random() < density]
+    if n >= 2 and rng.random() < 0.5:
+        twin = n - 1
+        arcs = [(q, a, t) for q, a, t in arcs if q != twin] + [(twin, a, t) for q, a, t in arcs if q == 0]
+        final = final - {twin} | ({twin} if 0 in final else set())
+    return Automaton(AB, n, initial, final, arcs)
+
+
+def _with_one_arc_moved(a, rng):
+    """``a`` with the target of one arc drawn again, or ``a`` itself when it has no arcs."""
+    arcs = [(q, sym, t) for q, sym, ts in a.transitions for t in ts]
+    if arcs:
+        i = rng.randrange(len(arcs))
+        arcs[i] = arcs[i][:2] + (rng.randrange(a.n_states),)
+    return Automaton(AB, a.n_states, a.initial, a.final, arcs)
+
+
+def test_isomorphic_agrees_with_every_bijection():
+    rng = random.Random(27)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1500):
+        a, other = _random_automaton(rng), _random_automaton(rng)
+        perm = list(range(a.n_states))
+        rng.shuffle(perm)
+        permuted = renumbered(a, perm)
+        assert isomorphic(a, permuted) and reference_isomorphic(a, permuted)
+        for b in (other, _with_one_arc_moved(permuted, rng)):
+            expected = reference_isomorphic(a, b)
+            assert isomorphic(a, b) == expected == isomorphic(b, a)
+            outcomes[expected] += 1
+    assert min(outcomes.values()) > 50  # both answers are well covered
+
+
+def test_isomorphic_leaves_no_reference_cycle(corpus):
+    pairs = [(even_a(), renumbered(even_a(), [1, 0])), (even_a(), ends_a())]
+    for i, target in enumerate(corpus[:20]):
+        pairs.append((target, renumbered(target, list(range(target.n_states))[::-1])))
+        pairs.append((target, corpus[i + 1]))
+    gc.collect()
+    gc.disable()
+    try:
+        for a, b in pairs:
+            isomorphic(a, b)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_checkers_build_no_cached_view(corpus):
+    targets = list(corpus[:10])
+    hypotheses = [learn(TeacherSession(t)).hypothesis for t in targets for learn in (lstar_col, nlstar)]
+    for aut in targets + hypotheses + nfa_fixtures():
+        fields = (aut.alphabet, aut.n_states, aut.initial, aut.final, aut.transitions)
+        a, b, untouched = (Automaton._from_normal(*fields) for _ in range(3))
+        assert isomorphic(a, b)
+        trim(a)
+        assert set(vars(a)) == set(vars(b)) == set(vars(untouched))
 
 
 # -------------------------------------------------------------- parse/format

@@ -20,7 +20,6 @@ from helpers import (
 from rfsalearn.automata import (
     Automaton,
     ContractError,
-    _numbered_breadth_first,
     _ResidualOrder,
     determinize,
     isomorphic,
@@ -272,7 +271,7 @@ def _duplicated(dfa):
         copy = [(n, b, t) for r, b, t in arcs if r == p]
         final = dfa.final | ({n} if p in dfa.final else set())
         out = Automaton(dfa.alphabet, n + 1, dfa.initial, final, redirected + copy)
-        if _numbered_breadth_first(out):
+        if out._numbered:
             return out
     raise AssertionError("no arc to redirect")
 
