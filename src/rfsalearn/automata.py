@@ -246,14 +246,20 @@ class Automaton:
     def _numbered(self) -> bool:
         """True iff the DFA starts at 0 alone and a breadth-first walk from there visits 0..n-1 in order.
 
-        The walk takes the symbols in alphabet order, and the automaton must
-        be a total DFA: any other that starts at 0 alone raises
-        ``ContractError`` on every call, since a failed ``_delta`` is not kept.
+        The walk takes the symbols in alphabet order.  The automaton must be
+        a total DFA, one initial state and one successor per state and
+        symbol: any other raises ``ContractError`` on every call, since a
+        failed ``_delta`` is not kept.
         """
+        delta = self._delta
+        if len(self.initial) != 1:
+            raise ContractError(
+                f"expected a total deterministic automaton: {len(self.initial)} initial states"
+            )
         if self.initial != {0}:
             return False
         reached = 1  # the walk has numbered the states 0..reached-1 so far
-        for q, targets in enumerate(zip(*self._delta)):
+        for q, targets in enumerate(zip(*delta)):
             if q == reached:  # no state before q leads to it
                 return False
             for t in targets:

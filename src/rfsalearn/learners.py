@@ -22,6 +22,7 @@ from .automata import (
     _reversed_side,
     is_covered,
     least_words,
+    mask_union,
 )
 from .tables import (
     ModifiedTable,
@@ -91,22 +92,97 @@ def nlstar(teacher) -> LearnerResult:
     )
 
 
-def _residual_order_contexts(auto: Automaton) -> list[Word]:
-    """Contexts that make table rows mirror the residual structure of ``auto``, each once.
+def _coreachable_words(auto: Automaton, limit: int) -> list[tuple[int, Word]] | None:
+    """The co-reachable sets of ``auto`` as masks with their least words, or None past ``limit`` sets.
 
-    For every ordered state pair whose residuals are not included one in the
-    other, the least witness of that non-inclusion; and for every state whose
-    residual exceeds the union of the residuals strictly inside it, the least
-    witness of that excess.  Over these contexts row inclusion coincides with
-    residual inclusion and row coverability with residual composedness, which
-    is what reading an RFSA off the finished table requires.  The distinct
-    witnesses come in order of first occurrence, pairs first.
+    S_w = {q : δ(q, w) ∈ F}, so w ∈ L_q iff q ∈ S_w.  S_ε is the final set
+    and S_aw is the set of ``a``-predecessors of S_w, a ``mask_union`` over
+    predecessor masks built from the successor rows.  The sets come layer by
+    layer: layer k holds the sets first reached by a word of length k, each
+    with its lex-least such word, and layer k+1 steps layer k back through
+    the symbols in alphabet order and through layer k in its own order.  So
+    each new set is first met with its least word, and the list is in
+    length-lex order of the words.  A set first reached at length k+1 steps
+    back from one first reached at length k, so only the last layer is
+    stepped.  The search returns None once it finds more than ``limit`` sets.
+    """
+    n, rows = auto.n_states, []
+    for a, succ in zip(auto.alphabet, auto._delta):
+        pre = [0] * n  # pre[t]: the mask of the a-predecessors of t
+        for q, t in enumerate(succ):
+            pre[t] |= 1 << q
+        rows.append((a, pre))
+    final = sum(1 << q for q in auto.final)
+    entries, layer, seen = [], [(final, EPSILON)], {final}
+    while layer:
+        entries += layer
+        stepped = []
+        for a, by_state in rows:
+            for s, w in layer:
+                t = mask_union(by_state, s)
+                if t not in seen:
+                    if len(seen) == limit:
+                        return None
+                    seen.add(t)
+                    stepped.append((t, (a, *w)))
+        layer = stepped
+    return entries
+
+
+def _set_contexts(n: int, entries: list[tuple[int, Word]]) -> list[Word]:
+    """The residual-order contexts of an ``n``-state DFA, read off its co-reachable ``entries``.
+
+    ``entries`` lists every co-reachable set with its least word, in
+    length-lex order of the words, as :func:`_coreachable_words` gives them.
+    The least word of L_p \\ L_q is the first entry that holds p but not q,
+    and within row p the witnesses come in order of the least q each first
+    separates, as the pair path adds them.  ``below[q]`` holds the p != q
+    such that every set holding p holds q too, and the excess witness of q
+    is the first entry that holds q and none of ``below[q]``; a state no
+    entry proves has none.
+    """
+    full = (1 << n) - 1
+    sets = [s for s, _ in entries]
+    used = {}  # the indices of the entries used, in order of first use
+    for p in range(n):
+        bit = 1 << p
+        unseparated = full ^ bit  # the q no earlier entry holding p leaves out
+        firsts = []  # (least q the entry first separates from p, entry index)
+        for i, s in enumerate(sets):
+            if s & bit:
+                new = unseparated & ~s
+                if new:
+                    firsts.append(((new & -new).bit_length(), i))
+                    unseparated &= s
+                    if not unseparated:
+                        break
+        firsts.sort()
+        used.update(dict.fromkeys(i for _, i in firsts))
+    outside = [0] * n  # outside[q]: the states some set holds without q
+    for s in sets:
+        rest = full ^ s
+        while rest:
+            low = rest & -rest
+            outside[low.bit_length() - 1] |= s
+            rest ^= low
+    for q in range(n):
+        down, bit = full ^ outside[q], 1 << q  # q and below[q]
+        for i, s in enumerate(sets):
+            if s & down == bit:
+                used[i] = None
+                break
+    return [entries[i][1] for i in used]
+
+
+def _pair_contexts(auto: Automaton) -> list[Word]:
+    """The residual-order contexts of ``auto`` off the residual-order kernel ``_ResidualOrder``.
 
     A pair's least witness is ε when its first state is final and its second
     is not, and otherwise its least stepping symbol ``a`` (the first step
     ``_ResidualOrder._walk`` takes) followed by the least witness of the
     ``a``-successor pair.  So pairs with the same first step share their
-    witness, and only the first of them is walked.
+    witness, and only the first of them is walked.  Then each state's excess
+    search runs.
     """
     order = _ResidualOrder(auto)
     dist, steps = order.dist, order.steps
@@ -129,6 +205,37 @@ def _residual_order_contexts(auto: Automaton) -> list[Word]:
         if witness is not None:
             contexts[witness] = None
     return list(contexts)
+
+
+def _residual_order_contexts(auto: Automaton) -> list[Word]:
+    """Contexts that make table rows mirror the residual structure of the total DFA ``auto``, each once.
+
+    For every ordered state pair whose residuals are not included one in the
+    other, the least witness of that non-inclusion; and for every state whose
+    residual exceeds the union of the residuals strictly inside it, the least
+    witness of that excess.  Over these contexts row inclusion coincides with
+    residual inclusion and row coverability with residual composedness, which
+    is what reading an RFSA off the finished table requires.  The distinct
+    witnesses come in order of first occurrence, pairs first (row by row).
+
+    Since w ∈ L_q iff q ∈ S_w = {q : δ(q, w) ∈ F}, every witness is the least
+    word of a co-reachable set.  While there are at most as many of those
+    sets as states (n+2 sets against 2^n states for the n-th symbol from the
+    end), the contexts are read off the sets (:func:`_set_contexts`), and no
+    pair search or excess search runs.  Past that cap the residual-order
+    kernel finds them (:func:`_pair_contexts`).  Both give the same list.
+
+    The cap is a measured trade.  An automaton past the cap first runs a set
+    search of up to cap·|Σ| steps and throws it away.  A cap of 8n or more
+    sends most random minimal DFAs to the set path, where they lose little,
+    but costs more on automata with exponentially many sets, such as the
+    n-th symbol from the start.  Of the caps n, 2n, 4n, 8n and 16n, n keeps
+    the larger of those two losses smallest.
+    """
+    entries = _coreachable_words(auto, auto.n_states)
+    if entries is None:
+        return _pair_contexts(auto)
+    return _set_contexts(auto.n_states, entries)
 
 
 def _completion_contexts(row_auto: Automaton) -> list[Word]:
@@ -178,7 +285,11 @@ def two_step_prime_contexts(teacher) -> LearnerResult:
     For every state and every accepting state of the row automaton, the
     length-lex least word leading from one to the other becomes a context
     (unreachable pairs are skipped), and so does every witness of the row
-    automaton's residual order.  Each start's pinning search is one
+    automaton's residual order (:func:`_residual_order_contexts`).  Since
+    w ∈ L_q iff q ∈ S_w = {q : δ(q, w) ∈ F}, those witnesses are read off the
+    co-reachable sets S_w, listed layer by layer with their least words,
+    while there are at most as many sets as states; past that cap the
+    residual-order kernel finds them.  Each start's pinning search is one
     breadth-first pass over the row automaton's successor arrays, keeping
     one word per state.  The contexts go into one ordered dict as they are
     found, so each distinct context is added once, in order of first

@@ -70,14 +70,14 @@ def all_words(alphabet, up_to):
 
 
 @st.composite
-def minimal_dfas(draw):
-    """Random minimal DFAs over 1-3 letters with up to 12 states.
+def minimal_dfas(draw, max_states=12):
+    """Random minimal DFAs over 1-3 letters with up to ``max_states`` states.
 
     With two or more states the final set is neither empty nor full (state 0
     is toggled), so fewer draws collapse to the empty or universal language.
     """
     alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_states))
     arcs = [(q, a, draw(st.integers(0, n - 1))) for q in range(n) for a in alphabet]
     final = draw(st.sets(st.integers(0, n - 1)))
     if n > 1 and len(final) in (0, n):
@@ -238,6 +238,23 @@ def reference_excess_witness(dfa, includes, q):
                 seen.add(nxt)
                 queue.append((*nxt, w + (a,)))
     return None
+
+
+def reference_coreachable_words(dfa):
+    """Each distinct S_w = {q : w ∈ L_q}, as a mask, with its least word, in length-lex order of the words.
+
+    Plain enumeration of the words by length, membership read state by
+    state.  A length that brings no new set ends it: a set first reached by
+    a longer word steps back from one new at the length before.
+    """
+    found, layer = {}, [()]
+    while True:
+        size = len(found)
+        for w in layer:
+            found.setdefault(sum(1 << q for q in range(dfa.n_states) if dfa.accepts_from(q, w)), w)
+        if len(found) == size:
+            return list(found.items())
+        layer = [w + (a,) for w in layer for a in sorted(dfa.alphabet)]
 
 
 def reference_residual_order_contexts(dfa):

@@ -49,6 +49,7 @@ from rfsalearn.automata import (
     word,
 )
 from rfsalearn.learners import lstar_col, nlstar
+from rfsalearn.residuals import residual_index
 from rfsalearn.teacher import TeacherSession
 
 
@@ -241,6 +242,28 @@ def test_numbered_breadth_first_cases():
         with pytest.raises(ContractError, match="total deterministic"):
             nfa._numbered
     assert "_numbered" not in vars(nfa)
+
+
+def test_numbered_rejects_every_automaton_that_is_not_a_total_dfa():
+    total = [(0, "a", 1), (0, "b", 0), (1, "a", 1), (1, "b", 0)]
+    rejected = {
+        "2 successors": Automaton(AB, 2, {0, 1}, {1}, [(0, "a", 0), (0, "b", 0), (0, "a", 1)]),
+        "0 successors": Automaton(AB, 2, {1}, {1}, [(0, "a", 1), (0, "b", 0), (1, "a", 1)]),
+        "2 initial states": Automaton(AB, 2, {0, 1}, {1}, total),
+        "0 initial states": Automaton(AB, 2, set(), {1}, total),
+    }
+    for message, a in rejected.items():
+        for _ in range(2):
+            with pytest.raises(ContractError, match=f"total deterministic automaton: .*{message}"):
+                a._numbered
+        assert "_numbered" not in vars(a)
+        # The callers: determinize and minimize rebuild, the oracle refuses.
+        assert determinize(a) == determinize_labeled(a)[0]
+        assert minimize(a) == minimize(determinize_labeled(a)[0])
+        with pytest.raises(ContractError, match="expected a minimal DFA"):
+            residual_index(a)
+    # A total DFA that starts elsewhere is only misnumbered.
+    assert Automaton(AB, 2, {1}, {1}, total)._numbered is False
 
 
 def test_numbered_breadth_first_is_kept_on_the_automaton():
