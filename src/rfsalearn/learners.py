@@ -23,6 +23,7 @@ from .automata import (
     is_covered,
     least_words,
     mask_union,
+    pred_masks,
 )
 from .tables import (
     ModifiedTable,
@@ -92,8 +93,8 @@ def nlstar(teacher) -> LearnerResult:
     )
 
 
-def _coreachable_words(auto: Automaton, limit: int) -> list[tuple[int, Word]] | None:
-    """The co-reachable sets of ``auto`` as masks with their least words, or None past ``limit`` sets.
+def _coreachable_words(auto: Automaton, limit: int) -> tuple[list[tuple[int, Word]], bool]:
+    """The co-reachable sets of ``auto`` as masks with their least words, and whether they are all of them.
 
     S_w = {q : δ(q, w) ∈ F}, so w ∈ L_q iff q ∈ S_w.  S_ε is the final set
     and S_aw is the set of ``a``-predecessors of S_w, a ``mask_union`` over
@@ -104,14 +105,11 @@ def _coreachable_words(auto: Automaton, limit: int) -> list[tuple[int, Word]] | 
     each new set is first met with its least word, and the list is in
     length-lex order of the words.  A set first reached at length k+1 steps
     back from one first reached at length k, so only the last layer is
-    stepped.  The search returns None once it finds more than ``limit`` sets.
+    stepped.  The search stops once it would find more than ``limit`` sets
+    and returns the ``limit`` it found, a length-lex prefix, with ``False``.
     """
-    n, rows = auto.n_states, []
-    for a, succ in zip(auto.alphabet, auto._delta):
-        pre = [0] * n  # pre[t]: the mask of the a-predecessors of t
-        for q, t in enumerate(succ):
-            pre[t] |= 1 << q
-        rows.append((a, pre))
+    n = auto.n_states
+    rows = [(a, pred_masks(succ, n)) for a, succ in zip(auto.alphabet, auto._delta)]
     final = sum(1 << q for q in auto.final)
     entries, layer, seen = [], [(final, EPSILON)], {final}
     while layer:
@@ -122,89 +120,11 @@ def _coreachable_words(auto: Automaton, limit: int) -> list[tuple[int, Word]] | 
                 t = mask_union(by_state, s)
                 if t not in seen:
                     if len(seen) == limit:
-                        return None
+                        return entries + stepped, False
                     seen.add(t)
                     stepped.append((t, (a, *w)))
         layer = stepped
-    return entries
-
-
-def _set_contexts(n: int, entries: list[tuple[int, Word]]) -> list[Word]:
-    """The residual-order contexts of an ``n``-state DFA, read off its co-reachable ``entries``.
-
-    ``entries`` lists every co-reachable set with its least word, in
-    length-lex order of the words, as :func:`_coreachable_words` gives them.
-    The least word of L_p \\ L_q is the first entry that holds p but not q,
-    and within row p the witnesses come in order of the least q each first
-    separates, as the pair path adds them.  ``below[q]`` holds the p != q
-    such that every set holding p holds q too, and the excess witness of q
-    is the first entry that holds q and none of ``below[q]``; a state no
-    entry proves has none.
-    """
-    full = (1 << n) - 1
-    sets = [s for s, _ in entries]
-    used = {}  # the indices of the entries used, in order of first use
-    for p in range(n):
-        bit = 1 << p
-        unseparated = full ^ bit  # the q no earlier entry holding p leaves out
-        firsts = []  # (least q the entry first separates from p, entry index)
-        for i, s in enumerate(sets):
-            if s & bit:
-                new = unseparated & ~s
-                if new:
-                    firsts.append(((new & -new).bit_length(), i))
-                    unseparated &= s
-                    if not unseparated:
-                        break
-        firsts.sort()
-        used.update(dict.fromkeys(i for _, i in firsts))
-    outside = [0] * n  # outside[q]: the states some set holds without q
-    for s in sets:
-        rest = full ^ s
-        while rest:
-            low = rest & -rest
-            outside[low.bit_length() - 1] |= s
-            rest ^= low
-    for q in range(n):
-        down, bit = full ^ outside[q], 1 << q  # q and below[q]
-        for i, s in enumerate(sets):
-            if s & down == bit:
-                used[i] = None
-                break
-    return [entries[i][1] for i in used]
-
-
-def _pair_contexts(auto: Automaton) -> list[Word]:
-    """The residual-order contexts of ``auto`` off the residual-order kernel ``_ResidualOrder``.
-
-    A pair's least witness is ε when its first state is final and its second
-    is not, and otherwise its least stepping symbol ``a`` (the first step
-    ``_ResidualOrder._walk`` takes) followed by the least witness of the
-    ``a``-successor pair.  So pairs with the same first step share their
-    witness, and only the first of them is walked.  Then each state's excess
-    search runs.
-    """
-    order = _ResidualOrder(auto)
-    dist, steps = order.dist, order.steps
-    contexts, walked = {}, set()
-    for p, row in enumerate(dist):
-        for q, d in enumerate(row):
-            if d == 0:
-                contexts[EPSILON] = None
-            elif d > 0:
-                d -= 1
-                for a, succ, _ in steps:
-                    first = a, succ[p], succ[q]
-                    if dist[first[1]][first[2]] == d:
-                        break
-                if first not in walked:
-                    walked.add(first)
-                    contexts[order._walk(p, q)] = None
-    for q in range(auto.n_states):
-        witness = order.excess_witness(q)
-        if witness is not None:
-            contexts[witness] = None
-    return list(contexts)
+    return entries, True
 
 
 def _residual_order_contexts(auto: Automaton) -> list[Word]:
@@ -219,23 +139,63 @@ def _residual_order_contexts(auto: Automaton) -> list[Word]:
     witnesses come in order of first occurrence, pairs first (row by row).
 
     Since w ∈ L_q iff q ∈ S_w = {q : δ(q, w) ∈ F}, every witness is the least
-    word of a co-reachable set.  While there are at most as many of those
-    sets as states (n+2 sets against 2^n states for the n-th symbol from the
-    end), the contexts are read off the sets (:func:`_set_contexts`), and no
-    pair search or excess search runs.  Past that cap the residual-order
-    kernel finds them (:func:`_pair_contexts`).  Both give the same list.
-
-    The cap is a measured trade.  An automaton past the cap first runs a set
-    search of up to cap·|Σ| steps and throws it away.  A cap of 8n or more
-    sends most random minimal DFAs to the set path, where they lose little,
-    but costs more on automata with exponentially many sets, such as the
-    n-th symbol from the start.  Of the caps n, 2n, 4n, 8n and 16n, n keeps
-    the larger of those two losses smallest.
+    word of a co-reachable set, and the sets listed in length-lex order of
+    their words (:func:`_coreachable_words`) give each witness as the first
+    of them that fits: the least word of L_p \\ L_q is the first set holding
+    p and not q, and within row p the witnesses come in order of the least q
+    each separates.  The excess witness of q is the first set holding q and
+    none of the p != q with L_p ⊆ L_q.  The list stops at n sets, as in
+    :func:`residual_index`, since there may be 2^n of them (the n-th symbol
+    from the start, against n+2 for the n-th from the end).  Only when it
+    stops is the residual-order kernel ``_ResidualOrder`` built: it gives the
+    inclusions, walks the pairs no listed set separates and searches the
+    excess of the states no listed set proves.
     """
-    entries = _coreachable_words(auto, auto.n_states)
-    if entries is None:
-        return _pair_contexts(auto)
-    return _set_contexts(auto.n_states, entries)
+    n = auto.n_states
+    entries, complete = _coreachable_words(auto, n)
+    full = (1 << n) - 1
+    if complete:
+        outside = [0] * n  # outside[q]: the states some set holds without q
+        for s, _ in entries:
+            rest = full ^ s
+            while rest:
+                low = rest & -rest
+                outside[low.bit_length() - 1] |= s
+                rest ^= low
+        down = [full ^ o for o in outside]  # down[q]: q and the p with L_p ⊆ L_q
+    else:
+        order = _ResidualOrder(auto)
+        dist = order.dist
+        down = [b | 1 << q for q, b in enumerate(order.below)]
+    contexts = {}
+    for p in range(n):
+        bit = 1 << p
+        unseparated = full ^ bit  # the q no listed set holding p leaves out
+        firsts = []  # (the least q a witness separates from p, the witness)
+        for s, w in entries:
+            if s & bit:
+                new = unseparated & ~s
+                if new:
+                    firsts.append(((new & -new).bit_length() - 1, w))
+                    unseparated &= s
+                    if not unseparated:
+                        break
+        if not complete:
+            # Pairs with dist 0 are separated by S_ε, the first entry.
+            row = dist[p]
+            firsts += [(q, order._walk(p, q)) for q in range(n) if unseparated >> q & 1 and row[q] > 0]
+        firsts.sort()
+        contexts.update(dict.fromkeys(w for _, w in firsts))
+    for q, held in enumerate(down):
+        bit = 1 << q
+        for s, w in entries:
+            if s & held == bit:
+                contexts[w] = None
+                break
+        else:
+            if not complete and (w := order.excess_witness(q)) is not None:
+                contexts[w] = None
+    return list(contexts)
 
 
 def _completion_contexts(row_auto: Automaton) -> list[Word]:
@@ -287,9 +247,9 @@ def two_step_prime_contexts(teacher) -> LearnerResult:
     (unreachable pairs are skipped), and so does every witness of the row
     automaton's residual order (:func:`_residual_order_contexts`).  Since
     w ∈ L_q iff q ∈ S_w = {q : δ(q, w) ∈ F}, those witnesses are read off the
-    co-reachable sets S_w, listed layer by layer with their least words,
-    while there are at most as many sets as states; past that cap the
-    residual-order kernel finds them.  Each start's pinning search is one
+    co-reachable sets S_w, listed layer by layer with their least words up to
+    as many sets as states; past that cap the residual-order kernel finds only
+    the witnesses the listed sets leave open.  Each start's pinning search is one
     breadth-first pass over the row automaton's successor arrays, keeping
     one word per state.  The contexts go into one ordered dict as they are
     found, so each distinct context is added once, in order of first

@@ -1,8 +1,9 @@
 """The single-pass residual-order kernel against the per-pair reference, and at scale.
 
-Also ``prime2step``'s residual-order contexts: the set path (read off the
-co-reachable sets) against the pair path (off the kernel), and which path
-each row automaton takes.
+Also ``prime2step``'s residual-order contexts, read off the co-reachable sets
+with the kernel settling only what the listed sets leave open: the list cut
+at every length against the per-pair reference, and the kernel work each cut
+leaves.
 """
 import pytest
 from hypothesis import example, given, settings
@@ -36,9 +37,7 @@ from rfsalearn.cli import generate_corpus
 from rfsalearn import learners
 from rfsalearn.learners import (
     _coreachable_words,
-    _pair_contexts,
     _residual_order_contexts,
-    _set_contexts,
     two_step_prime_contexts,
 )
 from rfsalearn.residuals import (
@@ -106,61 +105,64 @@ def test_walk_rejects_an_included_pair():
             order._walk(p, q)
 
 
-def count_walks(monkeypatch, dfas):
-    """The ``_walk`` calls the pair path ``_pair_contexts`` makes over ``dfas``."""
+def kernel_calls(dfa):
+    """The kernel calls ``_residual_order_contexts(dfa)`` makes, as (method name, arguments) in order."""
     calls = []
-    walk = _ResidualOrder._walk
-
-    def counted(order, p, q):
-        calls.append((p, q))
-        return walk(order, p, q)
-
-    monkeypatch.setattr(_ResidualOrder, "_walk", counted)
-    for dfa in dfas:
-        _pair_contexts(dfa)
-    return len(calls)
-
-
-def test_one_walk_per_distinct_first_step(monkeypatch, corpus):
-    # Of 3 367 and 6 866 non-included pairs, only those with a first step
-    # not seen before are walked, and none whose witness is ε.  The
-    # 6th-from-end DFA takes the set path in ``_residual_order_contexts``,
-    # so its pair path is called directly.
-    assert count_walks(monkeypatch, [canon(nth_from_end_nfa(6))]) == 781
-    assert count_walks(monkeypatch, corpus) == 3547
-
-
-def count_kernel_work(monkeypatch, dfa):
-    """The kernels built, walks taken and excess searches run by ``_residual_order_contexts(dfa)``."""
-    calls = []
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         for name in ("__init__", "_walk", "excess_witness"):
             method = getattr(_ResidualOrder, name)
 
-            def counted(*args, method=method, name=name):
-                calls.append(name)
-                return method(*args)
+            def counted(order, *args, method=method, name=name):
+                calls.append((name, args))
+                return method(order, *args)
 
             patch.setattr(_ResidualOrder, name, counted)
         _residual_order_contexts(dfa)
-    return {name: calls.count(name) for name in ("__init__", "_walk", "excess_witness")}
+    return calls
+
+
+def count_kernel_work(dfas):
+    """The kernels built, walks taken and excess searches run by ``_residual_order_contexts`` over ``dfas``.
+
+    Every walk must be on a pair that no listed co-reachable set separates,
+    and every excess search on a state that no listed set proves.
+    """
+    names = []
+    for dfa in dfas:
+        sets = [s for s, _ in _coreachable_words(dfa, dfa.n_states)[0]]
+        calls = kernel_calls(dfa)
+        below = _ResidualOrder(dfa).below if calls else None
+        for name, args in calls:
+            if name == "_walk":
+                p, q = args
+                assert not any(s >> p & 1 and not s >> q & 1 for s in sets), (p, q)
+            elif name == "excess_witness":
+                (q,) = args
+                assert not any(s & (below[q] | 1 << q) == 1 << q for s in sets), q
+        names += [name for name, _ in calls]
+    return {name: names.count(name) for name in ("__init__", "_walk", "excess_witness")}
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_few_coreachable_sets_take_the_set_path(monkeypatch, n):
+def test_few_coreachable_sets_take_the_set_path(n):
     # n+2 co-reachable sets against 2^n states: no kernel, walk or excess search.
     dfa = canon(nth_from_end_nfa(n))
-    assert len(_coreachable_words(dfa, dfa.n_states)) == n + 2
-    assert count_kernel_work(monkeypatch, dfa) == {"__init__": 0, "_walk": 0, "excess_witness": 0}
+    entries, complete = _coreachable_words(dfa, dfa.n_states)
+    assert complete and len(entries) == n + 2
+    assert count_kernel_work([dfa]) == {"__init__": 0, "_walk": 0, "excess_witness": 0}
 
 
-def test_many_coreachable_sets_take_the_pair_path(monkeypatch):
-    # The 6th-from-start language: 8 states, 2^6 co-reachable sets.
-    dfa = learners.lstar_col(TeacherSession(canon(reverse_automaton(nth_from_end_nfa(6))))).hypothesis
-    assert _coreachable_words(dfa, dfa.n_states) is None
-    assert (dfa.n_states, len(_coreachable_words(dfa, 1 << dfa.n_states))) == (8, 2**6)
-    work = count_kernel_work(monkeypatch, dfa)
-    assert work["__init__"] == 1 and work["_walk"] > 0 and work["excess_witness"] == dfa.n_states
+def nth_from_start_row_automaton(n):
+    return learners.lstar_col(TeacherSession(canon(reverse_automaton(nth_from_end_nfa(n))))).hypothesis
+
+
+def test_many_coreachable_sets_take_the_pair_path(corpus):
+    # Past the cap the kernel settles only what the n listed sets leave open:
+    # 194 of the 200 corpus automata, and the 6th-from-start one.
+    start_6 = nth_from_start_row_automaton(6)  # 8 states, 2^6 co-reachable sets
+    assert (start_6.n_states, len(_coreachable_words(start_6, 1 << 8)[0])) == (8, 2**6)
+    assert count_kernel_work([start_6]) == {"__init__": 1, "_walk": 18, "excess_witness": 4}
+    assert count_kernel_work(corpus) == {"__init__": 194, "_walk": 843, "excess_witness": 42}
 
 
 @pytest.mark.parametrize("language", [nth_from_end_nfa(4), reverse_automaton(nth_from_end_nfa(6))])
@@ -172,29 +174,47 @@ def test_context_search_builds_no_backward_view(language):
     assert "_pred_masks" not in vars(dfa)
 
 
-def assert_paths_agree(dfa):
-    """The set path, forced past its cap, gives the pair path's list."""
-    entries = _coreachable_words(dfa, 1 << dfa.n_states)
-    assert _set_contexts(dfa.n_states, entries) == _pair_contexts(dfa)
-    return entries
+def reference_contexts(dfa):
+    return list(dict.fromkeys(reference_residual_order_contexts(dfa)))
+
+
+def assert_every_cut_agrees(dfa, expected, words):
+    """Every cut of the set list gives ``expected``, and each cut is a prefix of ``words``.
+
+    ``_coreachable_words`` is capped at each k = 1..|sets|+1.  Below
+    |sets| the contexts come off the first k sets and the kernel settles
+    what they leave open; from |sets| on they come off the sets alone.
+    ``words`` lists every co-reachable set with its least word.
+    """
+    coreachable_words = learners._coreachable_words
+    for k in range(1, len(words) + 2):
+        assert coreachable_words(dfa, k) == ((words[:k], False) if k < len(words) else (words, True)), k
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(learners, "_coreachable_words", lambda auto, limit, k=k: coreachable_words(auto, k))
+            assert _residual_order_contexts(dfa) == expected, k
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_set_and_pair_paths_agree_nth_from_end(n):
     dfa = canon(nth_from_end_nfa(n))
-    entries = assert_paths_agree(dfa)
     if n <= 5:
-        assert entries == reference_coreachable_words(dfa)
+        assert_every_cut_agrees(dfa, reference_contexts(dfa), reference_coreachable_words(dfa))
+    else:
+        all_sets, _ = _coreachable_words(dfa, 1 << dfa.n_states)
+        assert_every_cut_agrees(dfa, _residual_order_contexts(dfa), all_sets)
 
 
 def test_set_and_pair_paths_agree_on_corpus_row_automata_under_the_cap(corpus):
-    under = [dfa for dfa in corpus if _coreachable_words(dfa, dfa.n_states) is not None]
+    under = [dfa for dfa in corpus if _coreachable_words(dfa, dfa.n_states)[1]]
     assert len(under) == 6
     for target in under:
         row_auto = learners.lstar_col(TeacherSession(target)).hypothesis
-        assert _coreachable_words(row_auto, row_auto.n_states) is not None
-        entries = assert_paths_agree(row_auto)
-        assert entries == reference_coreachable_words(row_auto)
+        assert_every_cut_agrees(row_auto, reference_contexts(row_auto), reference_coreachable_words(row_auto))
+
+
+def test_set_and_pair_paths_agree_nth_from_start():
+    row_auto = nth_from_start_row_automaton(6)
+    assert_every_cut_agrees(row_auto, reference_contexts(row_auto), reference_coreachable_words(row_auto))
 
 
 @given(minimal_dfas(max_states=6))
@@ -203,10 +223,10 @@ def test_set_and_pair_paths_agree_on_corpus_row_automata_under_the_cap(corpus):
 @example(Automaton(("a",), 1, {0}, {0}, [(0, "a", 0)]))
 @settings(max_examples=200, deadline=None)
 def test_set_and_pair_paths_agree_random(dfa):
-    entries = assert_paths_agree(dfa)
-    assert _residual_order_contexts(dfa) == _pair_contexts(dfa)
-    if len(entries[-1][1]) < 5:
-        assert entries == reference_coreachable_words(dfa)
+    words, _ = _coreachable_words(dfa, 1 << dfa.n_states)
+    if len(words[-1][1]) < 5:  # the reference enumerates every word up to the longest plus one
+        assert words == reference_coreachable_words(dfa)
+    assert_every_cut_agrees(dfa, reference_contexts(dfa), words)
 
 
 def test_kernel_rejects_partial_input():
