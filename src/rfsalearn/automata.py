@@ -101,7 +101,6 @@ class Automaton:
     final: frozenset[int]
     transitions: tuple[tuple[int, str, frozenset[int]], ...]
     _step: dict = field(init=False, repr=False, compare=False, default=None)
-    _symbol_set: frozenset = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         symbols, symbol_set = _checked_alphabet(tuple(self.alphabet))
@@ -132,7 +131,7 @@ class Automaton:
         for q, a, ts in merged:
             ts = frozenset(ts)
             normal.append((q, a, shared.setdefault(ts, ts)))
-        self._install(symbols, n, initial, final, tuple(normal), symbol_set)
+        self._install(symbols, n, initial, final, tuple(normal))
 
     @classmethod
     def _from_normal(cls, alphabet, n_states, initial, final, transitions) -> Automaton:
@@ -147,11 +146,11 @@ class Automaton:
           with symbols in alphabet order, equal target sets being one object.
         """
         self = object.__new__(cls)
-        self._install(alphabet, n_states, initial, final, transitions, _checked_alphabet(alphabet)[1])
+        self._install(alphabet, n_states, initial, final, transitions)
         return self
 
-    def _install(self, alphabet, n_states, initial, final, transitions, symbol_set):
-        """Set every field, the transition index and the symbol set among them.
+    def _install(self, alphabet, n_states, initial, final, transitions):
+        """Set every field, the transition index among them.
 
         The index ``_step`` holds one row per symbol, in alphabet order, with
         the target set of each state.
@@ -171,7 +170,6 @@ class Automaton:
         set_field(self, "final", final)
         set_field(self, "transitions", transitions)
         set_field(self, "_step", step)
-        set_field(self, "_symbol_set", symbol_set)
 
     def step(self, q: int, a: str) -> frozenset[int]:
         """The targets of ``q`` on ``a``; empty for a foreign symbol or a ``q`` that is no state id."""
@@ -182,7 +180,7 @@ class Automaton:
 
     def run(self, sources, w: Word) -> frozenset[int]:
         """Set of states reachable from ``sources`` along ``w``."""
-        _check_word(w, self._symbol_set)
+        _check_word(w, _checked_alphabet(self.alphabet)[1])
         current = frozenset(sources)
         for q in current:
             _check_state(q, self.n_states)

@@ -65,21 +65,19 @@ def _transpose(masks: list[int], width: int) -> list[int]:
 def _per_log_state(predicate):
     """``predicate``, answered from the table's record while its change log stays in one state.
 
-    The log's state is the list it is and that list's length: the record
-    holds the answers given in one such state, and an entry or a new log
-    empties it at the next call.  A call that raises records nothing.
+    The record ``_kept`` holds, under the predicate's name, the log length it
+    answered at and its answer: an entry in the log makes the next call run
+    it again, and a new log empties the record.  A call that raises records
+    nothing.
     """
     name = predicate.__name__
 
     @functools.wraps(predicate)
     def recalled(table):
-        log, seen, answers = table._answers
-        if log is not table._log or seen != len(log):
-            answers = {}
-            table._answers = (table._log, len(table._log), answers)
-        elif name in answers:
-            return answers[name]
-        answer = answers[name] = predicate(table)
+        seen, answer = table._kept.get(name, (-1, None))
+        if seen != len(table._log):
+            answer = predicate(table)
+            table._kept[name] = (len(table._log), answer)
         return answer
 
     return recalled
@@ -102,16 +100,17 @@ class ObservationTable:
     The table records its changes in one append-only log, ``_log``: the rows
     filled or promoted since the last new context, in order.  A new context
     changes every row, so it starts a fresh log, which ``fill`` then fills
-    with every row.  The predicates keep what they computed between calls
-    together with the log they read and how far: ``is_closed`` its red row
-    values and violators, the RFSA predicates the non-coverable row values,
-    and ``is_consistent``, ``is_rfsa_closed``, ``is_rfsa_consistent`` and
-    ``ncov_red`` their answers.  A call reads only the entries added since
-    the last one, and starts afresh on a new log.
+    with every row.  What the predicates compute between calls is kept in one
+    record, ``_kept``, each entry with how far into the log it read:
+    ``"closed"`` the red row values and violators of ``is_closed``,
+    ``"ncov"`` the non-coverable row values of the RFSA predicates, and
+    ``is_consistent``, ``is_rfsa_closed`` and ``is_rfsa_consistent`` their
+    answers under their names.  A call reads only the entries added since
+    the last one; the statement that starts a new log empties the record.
     """
 
     def __init__(self, alphabet):
-        self._alphabet, self._symbols = _checked_alphabet(tuple(alphabet))
+        self._alphabet = _checked_alphabet(tuple(alphabet))[0]
         self._contexts: list[Word] = [EPSILON]
         self._context_pos = {EPSILON: 0}
         self._cells: dict[Word, int] = {EPSILON: 0}
@@ -120,11 +119,7 @@ class ObservationTable:
         self._blue: dict[Word, None] = {}
         self._pending: dict[Word, int] = {EPSILON: 0}
         self._log: list[Word] = []
-        # Each kept computation, after the log it read and how far: the red
-        # row values and a heap of (possibly stale) violators; every row
-        # value and the non-coverable ones; the recorded answers.
-        self._closed = self._ncov = (None, 0, None, None)
-        self._answers = (None, 0, {})
+        self._kept: dict = {}
         self._extend_blue(EPSILON)
 
     @classmethod
@@ -258,7 +253,7 @@ class ObservationTable:
         e = tuple(e)
         if e in self._context_pos:
             return self
-        _check_word(e, self._symbols)
+        _check_word(e, _checked_alphabet(self._alphabet)[1])
         width = len(self._contexts)
         self._context_pos[e] = width
         self._contexts.append(e)
@@ -266,7 +261,7 @@ class ObservationTable:
         if len(self._pending) < len(self._cells):  # some row had none
             pending = self._pending
             self._pending = {w: pending.get(w, width) for w in self.words()}
-        self._log = []
+        self._log, self._kept = [], {}
         return self
 
     def _pending_rows(self) -> list[Word]:
@@ -305,16 +300,14 @@ class ObservationTable:
         """
         self._require_filled()
         cells, log = self._cells, self._log
-        kept, seen, red_values, heap = self._closed
-        if kept is not log:
-            seen, red_values, heap = 0, set(), []
+        seen, red_values, heap = self._kept.get("closed") or (0, set(), [])
         if seen < len(log):
             for w in log[seen:]:
                 if w in self._red:
                     red_values.add(cells[w])
                 elif cells[w] not in red_values:
                     heapq.heappush(heap, _lex_key(w))
-            self._closed = (log, len(log), red_values, heap)
+            self._kept["closed"] = (len(log), red_values, heap)
         while heap:
             w = heap[0][1]
             if cells[w] not in red_values:  # so ``w`` is still blue
@@ -357,7 +350,7 @@ class ObservationTable:
     def _noncoverable_masks(self) -> set[int]:
         """The row values that are not the OR of the row values strictly inside them.
 
-        Needs a filled table.  Kept in ``_ncov`` between calls, where a call
+        Needs a filled table.  Kept as ``"ncov"`` between calls, where a call
         decides only the values of the rows the log names since the last one
         and the kept values with a new value strictly inside them; the others
         keep their answer.
@@ -366,9 +359,7 @@ class ObservationTable:
         every row value is the OR of the non-coverable values inside it.
         """
         cells, log = self._cells, self._log
-        kept, seen, values, keep = self._ncov
-        if kept is not log:
-            seen, values, keep = 0, set(), set()
+        seen, values, keep = self._kept.get("ncov") or (0, set(), set())
         if seen < len(log):
             new = {cells[w] for w in log[seen:]} - values
             if new:
@@ -378,10 +369,9 @@ class ObservationTable:
                     if not is_covered(v, keep):
                         keep.add(v)
                 values |= new
-            self._ncov = (log, len(log), values, keep)
+            self._kept["ncov"] = (len(log), values, keep)
         return keep
 
-    @_per_log_state
     def ncov_red(self) -> tuple[Word, ...]:
         """Least red representative of every non-coverable distinct red row."""
         self._require_filled()
@@ -457,18 +447,23 @@ class ModifiedTable:
     eps_obs: dict[Word, int]
 
 
-def _check_derivable(table: ObservationTable):
+def _check_derivable(table: ObservationTable, closed, consistent, kind=""):
+    """Raise ``ContractError`` unless ``table`` has the ε context and passes both predicates.
+
+    The checks run in that order: ε, then ``closed``, then ``consistent``.
+    ``kind`` prefixes the failed condition's name, as in ``RFSA-closed``.
+    """
     if EPSILON not in table._context_pos:
         raise ContractError("the empty context is required")
-    if table.is_closed() is not None:
-        raise ContractError("table is not closed")
-    if table.is_consistent() is not None:
-        raise ContractError("table is not consistent")
+    if closed(table) is not None:
+        raise ContractError(f"table is not {kind}closed")
+    if consistent(table) is not None:
+        raise ContractError(f"table is not {kind}consistent")
 
 
 def derive_dfa_with_reps(table: ObservationTable) -> tuple[Automaton, tuple[Word, ...]]:
     """Automaton of a closed and consistent table plus one red word per state."""
-    _check_derivable(table)
+    _check_derivable(table, ObservationTable.is_closed, ObservationTable.is_consistent)
     if EPSILON not in table._red:
         raise ContractError("red must contain the empty word")
     # A closed table has no unset cell, so each cell's mask is its full row.
@@ -522,7 +517,7 @@ def apply_modifications(table: ObservationTable) -> ModifiedTable:
     of the empty context are recorded for all surviving red words before the
     removals, since the reduction may drop that column.
     """
-    _check_derivable(table)
+    _check_derivable(table, ObservationTable.is_closed, ObservationTable.is_consistent)
     pos = table._context_pos
 
     row_reps = _least_per_value(table.red, table._cells.__getitem__)
@@ -634,12 +629,7 @@ def _reach(mask: int, steps) -> int:
 
 def derive_rfsa(table: ObservationTable) -> Automaton:
     """Nondeterministic acceptor with one state per non-coverable red row."""
-    if table.is_rfsa_closed() is not None:
-        raise ContractError("table is not RFSA-closed")
-    if table.is_rfsa_consistent() is not None:
-        raise ContractError("table is not RFSA-consistent")
-    if EPSILON not in table._context_pos:
-        raise ContractError("the empty context is required")
+    _check_derivable(table, ObservationTable.is_rfsa_closed, ObservationTable.is_rfsa_consistent, "RFSA-")
     if EPSILON not in table._red:
         raise ContractError("red must contain the empty word")
     reps = table.ncov_red()  # none when every row is all zeros: the empty language

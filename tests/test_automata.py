@@ -709,6 +709,21 @@ def test_parse_repeated_key_messages():
     assert parse_automaton(head).step(1, "a") == frozenset({1})
 
 
+def test_parse_value_errors_name_their_line():
+    for text, line, message in (
+        ("alphabet: a\nstates: 2\ninitial: 0 0\n", 3, "duplicate state id"),
+        ("alphabet: a\nstates: 1 2\n", 2, "states: expects one count"),
+        ("# count\nalphabet: a\nstates: -1\n", 3, "negative state count"),
+        ("alphabet: a\nstates: 2\ntrans: 0 a\n", 3, "trans: expects 'state symbol state'"),
+        # A missing line is reported at the last line of the text.
+        ("states: 1\ninitial: 0\n# end\n", 3, "missing alphabet: line"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+
 # ----------------------------------------------------------- property checks
 
 

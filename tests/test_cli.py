@@ -2,9 +2,11 @@ import pytest
 
 from helpers import even_a, nfa_ends_a, starts_a, third_from_end_a
 from rfsalearn import cli
-from rfsalearn.automata import Automaton, format_automaton, minimize, parse_automaton
+from rfsalearn.automata import Automaton, ContractError, format_automaton, minimize, parse_automaton
 from rfsalearn.cli import BENCH_HEADER, generate_corpus, lang_file_name, main
+from rfsalearn.learners import DiagnosticError, two_step_prime_contexts, two_step_reversal
 from rfsalearn.residuals import is_prime, residual_index
+from rfsalearn.teacher import TeacherSession
 
 
 def write_target(tmp_path, automaton, name="target.aut"):
@@ -98,6 +100,33 @@ def test_language_columns_on_every_kind_of_target(target, columns):
     assert cli._language_columns(target) == columns
 
 
+def raising(error):
+    def learner(teacher):
+        raise error
+
+    return learner
+
+
+def test_learn_diagnostic_error_records_a_wrong_run_and_exits_4(tmp_path, monkeypatch):
+    target = write_target(tmp_path, even_a())
+    monkeypatch.setitem(cli.ALGORITHMS, "lstar", raising(DiagnosticError("completed table is not RFSA-closed")))
+    out, stats = tmp_path / "hyp.aut", tmp_path / "stats.csv"
+    argv = ["learn", "--alg", "lstar", "--target", str(target), "--out", str(out), "--stats", str(stats)]
+    assert main(argv) == 4
+    lines = stats.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == BENCH_HEADER
+    fields = lines[1].split(",")
+    assert fields[1] == "lstar" and fields[4] == "0" and fields[9] == "0"
+    assert not out.exists()
+
+
+def test_learner_contract_error_is_reported_with_exit_4(tmp_path, monkeypatch, capsys):
+    target = write_target(tmp_path, even_a())
+    monkeypatch.setitem(cli.ALGORITHMS, "nlstar", raising(ContractError("table is not closed")))
+    assert main(["learn", "--alg", "nlstar", "--target", str(target)]) == 4
+    assert capsys.readouterr().err == "error: table is not closed\n"
+
+
 def test_learn_unknown_alg_exit_2(tmp_path, capsys):
     target = write_target(tmp_path, even_a())
     for command in ("learn", "table"):
@@ -137,6 +166,16 @@ def test_gen_corpus_rejects_one_state_bound(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_gen_corpus_rejects_an_empty_corpus_and_a_large_alphabet(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    for flag, value in (("--n", "0"), ("--alphabet", "27")):
+        assert main(["gen-corpus", str(out_dir), flag, value]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: corpus parameters must be positive (alphabet size at most 26)\n"
+        )
+    assert not out_dir.exists()
+
+
 def test_gen_corpus_unary_alphabet(tmp_path):
     out_dir = tmp_path / "unary"
     assert main(["gen-corpus", str(out_dir), "--n", "3", "--max-states", "4", "--alphabet", "1", "--seed", "5"]) == 0
@@ -165,6 +204,19 @@ def test_bench_report_shape(tmp_path):
         by_lang.setdefault(row[0], {})[row[1]] = row
     for per_alg in by_lang.values():
         assert per_alg["rev2step"][4] == per_alg["nlstar"][4]
+
+
+def test_bench_without_out_writes_the_report_to_stdout(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    main(["gen-corpus", str(corpus), "--n", "2", "--max-states", "4", "--seed", "9"])
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(corpus), "--algs", "lstar,nlstar", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["bench", str(corpus), "--algs", "lstar,nlstar"]) == 0
+    printed = capsys.readouterr().out
+    strip = lambda text: [row.rsplit(",", 1)[0] for row in text.splitlines()]
+    assert strip(printed) == strip(out.read_text(encoding="utf-8"))
+    assert len(strip(printed)) == 1 + 2 * 2
 
 
 def test_bench_deterministic_prefix(tmp_path):
@@ -231,6 +283,19 @@ def test_table_dump(tmp_path, capsys):
     assert out.startswith("alg=lstar states=2")
     assert "--" in out
     assert "^" in out
+
+
+@pytest.mark.parametrize(
+    "alg, learner", [("rev2step", two_step_reversal), ("prime2step", two_step_prime_contexts)]
+)
+def test_table_dump_of_a_two_step_learner_prints_its_reduced_table(tmp_path, capsys, alg, learner):
+    target = write_target(tmp_path, third_from_end_a())
+    assert main(["table", "--alg", alg, "--target", str(target), "--dump"]) == 0
+    head, _, dump = capsys.readouterr().out.partition("\n")
+    result = learner(TeacherSession(third_from_end_a()))
+    reduced = result.final_table.table if alg == "rev2step" else result.final_table
+    assert head.startswith(f"alg={alg} states={result.hypothesis.n_states} ")
+    assert dump == reduced.dump()
 
 
 def test_usage_error_exit_2():

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import AB, nth_from_end_nfa, reference_normalise, reference_step_rows
-from rfsalearn.automata import Automaton, InputError, determinize
+from rfsalearn.automata import Automaton, ContractError, InputError, determinize
 from rfsalearn.residuals import canonical_rfsa
 from rfsalearn.tables import ObservationTable
 
@@ -73,6 +73,33 @@ def test_observation_table_rejects_cells_other_than_0_or_1():
         assert str(info.value) == f"row for {word!r} has a bit other than 0 or 1"
     table = ObservationTable.from_rows(AB, [()], [()], {(): [False], ("a",): [True], ("b",): [0]})
     assert (table.row(()), table.row(("a",))) == ((0,), (1,))
+
+
+def test_observation_table_rejects_bad_rows_by_name():
+    rows = {(): [0], ("a",): [1], ("b",): [0]}
+    missing = {w: bits for w, bits in rows.items() if w != ("b",)}
+    for error, red, contexts, given, message in [
+        (InputError, [(), ()], [()], rows, "duplicate red word"),
+        (ContractError, [(), ("a", "b")], [()], rows, "red is not prefix-closed at ('a', 'b')"),
+        (InputError, [()], [(), ()], rows, "duplicate context"),
+        (InputError, [()], [()], missing, "missing bits for ('b',)"),
+        (InputError, [()], [()], {**rows, ("a",): [1, 0]}, "row for ('a',) has wrong width"),
+    ]:
+        with pytest.raises(error) as info:
+            ObservationTable.from_rows(AB, red, contexts, given)
+        assert str(info.value) == message
+
+
+def test_observation_table_reads_reject_what_the_table_lacks():
+    table = ObservationTable.from_rows(AB, [()], [()], {(): [0], ("a",): [1], ("b",): [0]})
+    for read, message in [
+        (lambda: table.obs(("a", "a"), ()), "word ('a', 'a') not in table"),
+        (lambda: table.obs(("a",), ("b",)), "context ('b',) not in table"),
+        (lambda: table.row(("b", "b")), "word ('b', 'b') not in table"),
+    ]:
+        with pytest.raises(InputError) as info:
+            read()
+        assert str(info.value) == message
 
 
 def test_bad_alphabet_raises_on_every_call():

@@ -654,11 +654,16 @@ def test_derive_rfsa_deterministic_shaped_table():
 def test_derive_rfsa_checks_the_table_before_an_empty_answer():
     # Every row is zero, so the language read off would be empty; the table
     # must still hold ε as a context and in RED, for both derivations alike.
+    # The context is asked for first, also of a table that fails a condition:
+    # row(a) is non-coverable and not red, so that one is not RFSA-closed.
     no_eps_context = ObservationTable.from_rows(AB, [()], [("a",)], {(): [0], ("a",): [0], ("b",): [0]})
+    not_closed = ObservationTable.from_rows(AB, [()], [("a",)], {(): [0], ("a",): [1], ("b",): [0]})
+    assert not_closed.is_rfsa_closed() == word("a")
     no_eps_red = ObservationTable._build(AB, [word("a")], [()], lambda words: [0] * len(words))
     for derive in (derive_dfa, derive_rfsa):
-        with pytest.raises(ContractError, match="^the empty context is required$"):
-            derive(no_eps_context)
+        for table in (no_eps_context, not_closed):
+            with pytest.raises(ContractError, match="^the empty context is required$"):
+                derive(table)
         with pytest.raises(ContractError, match="^red must contain the empty word$"):
             derive(no_eps_red)
 
